@@ -7,8 +7,9 @@ Run from the root of a source checkout:
 
 One client sends queries in a closed loop, in this process: the next query
 starts when the previous one has returned. Queries come in rounds of fixed
-composition (see workloads.py); the run executes whole rounds until the time
-spent inside queries reaches --seconds. Every answer is checked against the
+composition (see workloads.py); the run executes whole rounds until the CPU
+time spent inside queries reaches --seconds. Query times are CPU times scaled
+to a reference machine speed by gauge.py. Every answer is checked against the
 truth planted by construction, and every witness against the benchmark's own
 exact 2x2 product.
 
@@ -45,35 +46,52 @@ SRC = ROOT / "src"
 OUT = HERE / "out"
 
 sys.path.insert(0, str(HERE))
+import gauge  # noqa: E402
 import stagetrace  # noqa: E402
 import workloads  # noqa: E402
 
-SETUP_REPS = 21
+SETUP_REPS = 15
 # Standard percentiles; the tail is the highest with >= 10 samples beyond it.
 TAIL_LADDER = (50.0, 75.0, 90.0, 95.0, 99.0, 99.9)
 WALL_LIMIT_S = 120.0  # stop mid-round past this, to end well within 180 s
 
+# Query and set-up times are CPU time of the measuring process, scaled to the
+# reference machine speed of gauge.py. A query is single-threaded and
+# CPU-bound, so on an idle core its CPU time equals its wall time; unlike wall
+# time, it leaves out the spells in which a shared host runs other tenants on
+# the core.
+clock = time.process_time
+
+# Prints the set-up time, then the median of gauge readings taken in the
+# same child right after it.
 SETUP_CODE = (
-    "import time\n"
-    "t = time.perf_counter()\n"
+    "import sys, time\n"
+    "t = time.process_time()\n"
     "import matdecide\n"
     "matdecide.default_coset_table()\n"
-    "print(time.perf_counter() - t)\n"
+    "t = time.process_time() - t\n"
+    f"sys.path.insert(0, {str(HERE)!r})\n"
+    "import gauge, statistics\n"
+    "readings = [gauge.read() for _ in range(8)][3:]  # the first warm up\n"
+    "print(t, statistics.median(readings))\n"
 )
 
 
-def measure_setup() -> float:
+def measure_setup() -> tuple[float, float]:
     """Median time for a fresh interpreter to import matdecide and build the
-    coset table, which every CLI call pays. The first child, which may also
-    write the bytecode cache, is not counted."""
+    coset table, which every CLI call pays, scaled and raw. Each child
+    scales its time by its own gauge readings. The first child, which may
+    also write the bytecode cache, is not counted."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    times = []
+    scaled, raw = [], []
     for rep in range(SETUP_REPS + 1):
         done = subprocess.run([sys.executable, "-c", SETUP_CODE], cwd=ROOT, env=env,
                               capture_output=True, text=True, timeout=60, check=True)
         if rep:
-            times.append(float(done.stdout.strip().splitlines()[-1]))
-    return statistics.median(times)
+            t, reading = map(float, done.stdout.split())
+            raw.append(t)
+            scaled.append(t * gauge.REFERENCE_S / reading)
+    return statistics.median(scaled), statistics.median(raw)
 
 
 def tail(latencies: list[float]) -> tuple[float, float, int]:
@@ -126,24 +144,24 @@ class Runner:
                 # wrappers are seen
                 return pda.free_automaton_emptiness(formats.parse_automaton(q.doc))
 
-            t0 = time.perf_counter()
+            t0 = clock()
             try:
                 empty = wrap(call)
             except Exception as exc:  # a crash is a failed query, not a dead run
-                return time.perf_counter() - t0, None, f"{type(exc).__name__}: {exc}", None
-            latency = time.perf_counter() - t0
+                return clock() - t0, None, f"{type(exc).__name__}: {exc}", None
+            latency = clock() - t0
             err = None if empty is (not q.truth) else f"empty={empty}, planted nonempty={q.truth}"
             return latency, empty, err, None
 
         argv = self.argv(q)
         buf = io.StringIO()
-        t0 = time.perf_counter()
+        t0 = clock()
         try:
             with contextlib.redirect_stdout(buf):
                 code = wrap(lambda: self.cli.main(argv))
         except (Exception, SystemExit) as exc:
-            return time.perf_counter() - t0, None, f"{type(exc).__name__}: {exc}", None
-        latency = time.perf_counter() - t0
+            return clock() - t0, None, f"{type(exc).__name__}: {exc}", None
+        latency = clock() - t0
         text = buf.getvalue()
         try:
             out = json.loads(text)
@@ -161,19 +179,24 @@ class Round:
     """What one pass over a round's queries produced."""
 
     correct: int = 0
-    busy: float = 0.0  # seconds spent inside queries
-    latencies: list = field(default_factory=list)
+    busy: float = 0.0  # CPU seconds spent inside queries, unscaled
+    latencies: list = field(default_factory=list)  # CPU seconds, unscaled
+    marks: list = field(default_factory=list)  # gauge position of each query
     answers: dict = field(default_factory=dict)  # query id -> answer
     witness_lens: list = field(default_factory=list)
     failures: list = field(default_factory=list)
 
 
-def run_round(runner: Runner, queries, deadline: float, tracer=None, expect=None) -> Round:
-    """Run a round's queries in order. With `expect`, each answer must equal
-    the one recorded there for the same query."""
+def run_round(runner: Runner, queries, deadline: float, meter: gauge.Gauge,
+              tracer=None, expect=None) -> Round:
+    """Run a round's queries in order, with gauge readings between them.
+    With `expect`, each answer must equal the one recorded there for the
+    same query."""
     out = Round()
     for q in queries:
+        out.marks.append(meter.before_query())
         latency, answer, err, wlen = runner.run(q, tracer)
+        meter.after_query(latency)
         if err is None and expect and q.qid in expect and expect[q.qid] != answer:
             err = "traced answer differs from the untraced one"
         if err is None:
@@ -216,7 +239,9 @@ def main(argv=None) -> int:
         print(f"perfbench: imported {matdecide.__file__}, not the checkout", file=sys.stderr)
         return 2
 
-    setup_s = None if args.trace else measure_setup()
+    for _ in range(3):
+        gauge.read()  # warm-up
+    setup = None if args.trace else measure_setup()
     matdecide.default_coset_table()
     workdir = OUT / f"work-{os.getpid()}"
     workdir.mkdir(parents=True, exist_ok=True)
@@ -228,7 +253,7 @@ def main(argv=None) -> int:
         if args.trace:
             record = traced_run(runner, args, deadline)
         else:
-            record = untraced_run(runner, args, deadline, setup_s)
+            record = untraced_run(runner, args, deadline, setup)
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
 
@@ -261,18 +286,30 @@ def main(argv=None) -> int:
     return 0 if record["failed"] == 0 else 1
 
 
-def untraced_run(runner: Runner, args, deadline: float, setup_s: float) -> dict:
+def scaled(meter: gauge.Gauge, passes: list[Round]) -> list[float]:
+    """Every query's latency at the gauge's reference speed."""
+    return [x * meter.scale(m) for r in passes for x, m in zip(r.latencies, r.marks)]
+
+
+def qps(meter: gauge.Gauge, passes: list[Round]) -> float:
+    """Correct queries per second of scaled query time."""
+    return sum(r.correct for r in passes) / sum(scaled(meter, passes))
+
+
+def untraced_run(runner: Runner, args, deadline: float, setup: tuple[float, float]) -> dict:
+    meter = gauge.Gauge()
     rounds: list[Round] = []
     for queries in endless_rounds(args.workload, args.seed):
-        rounds.append(run_round(runner, queries, deadline))
+        rounds.append(run_round(runner, queries, deadline, meter))
         if time.monotonic() > deadline or sum(r.busy for r in rounds) >= args.seconds:
             break
-    latencies = [x for r in rounds for x in r.latencies]
+    meter.finish()
+    latencies = scaled(meter, rounds)
     failures = [f for r in rounds for f in r.failures]
     pct, tail_s, beyond = tail(latencies)
+    setup_s, raw_setup_s = setup
     metrics = {
-        "queries_per_s": {"value": statistics.median(r.correct / r.busy for r in rounds),
-                          "unit": "1/s"},
+        "queries_per_s": {"value": qps(meter, rounds), "unit": "1/s"},
         "latency_p50_ms": {"value": statistics.median(latencies) * 1e3, "unit": "ms"},
         "latency_tail_ms": {"value": tail_s * 1e3, "unit": "ms"},
         "peak_rss_mb": {"value": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
@@ -283,7 +320,10 @@ def untraced_run(runner: Runner, args, deadline: float, setup_s: float) -> dict:
         "rounds": len(rounds), "attempted": len(latencies), "failed": len(failures),
         "failed_frac": len(failures) / len(latencies), "failures": failures,
         "tail_percentile": pct, "tail_samples_beyond": beyond,
-        "round_qps": [r.correct / r.busy for r in rounds], "metrics": metrics,
+        "raw_queries_per_s": sum(r.correct for r in rounds) / sum(r.busy for r in rounds),
+        "raw_setup_s": raw_setup_s,
+        "gauge_median_s": statistics.median(meter.readings),
+        "gauge_reference_s": gauge.REFERENCE_S, "metrics": metrics,
     }
 
 
@@ -292,27 +332,27 @@ def traced_run(runner: Runner, args, deadline: float) -> dict:
     reach half of --seconds. Alternating round by round exposes both passes
     to the same machine conditions, so their gap is the tracing overhead."""
     tracer = stagetrace.Tracer()
+    meter = gauge.Gauge()
     rounds, base, traced = [], [], []
     for queries in endless_rounds(args.workload, args.seed):
         rounds.append(queries)
-        base.append(run_round(runner, queries, deadline))
+        base.append(run_round(runner, queries, deadline, meter))
         tracer.install()
         try:
-            traced.append(run_round(runner, queries, deadline + 30, tracer, base[-1].answers))
+            traced.append(run_round(runner, queries, deadline + 30, meter, tracer,
+                                    base[-1].answers))
         finally:
             tracer.uninstall()
         if time.monotonic() > deadline or sum(r.busy for r in base) >= args.seconds / 2:
             break
-
-    def qps(passes: list[Round]) -> float:
-        return sum(r.correct for r in passes) / sum(r.busy for r in passes)
+    meter.finish()
 
     traced_queries = sum(len(r.latencies) for r in traced)
     attempted = traced_queries + sum(len(r.latencies) for r in base)
     failures = [f for r in base + traced for f in r.failures]
     metrics = stagetrace.per_layer_metrics(
         tracer, traced_queries, [n for r in traced for n in r.witness_lens],
-        1 - qps(traced) / qps(base))
+        1 - qps(meter, traced) / qps(meter, base))
     spans_dir = OUT / "spans"
     spans_dir.mkdir(parents=True, exist_ok=True)
     tracer.write(spans_dir / f"{args.workload}-seed{args.seed}.jsonl")

@@ -73,12 +73,12 @@ class Tracer:
     def _open(self, name: str) -> int:
         sid = len(self.spans)
         parent = self.stack[-1] if self.stack else -1
-        self.spans.append((name, time.perf_counter(), None, parent, self.qid))
+        self.spans.append((name, time.process_time(), None, parent, self.qid))
         self.stack.append(sid)
         return sid
 
     def _close(self, sid: int) -> None:
-        end = time.perf_counter()
+        end = time.process_time()
         self.stack.pop()
         name, start, _, parent, qid = self.spans[sid]
         self.spans[sid] = (name, start, end, parent, qid)

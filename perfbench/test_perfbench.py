@@ -161,3 +161,15 @@ def test_run_fails_without_sources(tmp_path):
                 "--seconds", "1", "--trace", "0")
     assert done.returncode != 0
     assert done.stdout == ""
+
+
+def test_gauge_scales_by_the_readings_around_a_query():
+    import gauge
+
+    meter = gauge.Gauge()
+    ref = gauge.REFERENCE_S
+    meter.readings = [ref] * 9 + [2 * ref] * 9
+    assert meter.scale(0) == 1.0
+    assert meter.scale(18) == 0.5
+    meter.readings = [ref, 4 * ref]  # fewer readings than the window
+    assert meter.scale(1) == pytest.approx(0.4)

@@ -63,8 +63,9 @@ def to_obj(m: Mat) -> list[list[str]]:
 GL2_POOL = (A, B, inv(A), inv(B), S, T, J, inv(S), inv(T), L)
 
 
-def random_unimodular(rng: random.Random, lo: int, hi: int) -> Mat:
-    return product(rng.choice(GL2_POOL) for _ in range(rng.randint(lo, hi)))
+def random_unimodular(rng: random.Random, length: int) -> Mat:
+    """A product of `length` random pool matrices."""
+    return product(rng.choice(GL2_POOL) for _ in range(length))
 
 
 def random_letters(rng: random.Random, length: int, positive: bool = False) -> list[int]:
@@ -103,9 +104,17 @@ class Query:
     doc: str = ""
 
 
-def _member_yes(rng: random.Random, n_sanov: int, tlen: int):
-    gens = [sanov_matrix(random_letters(rng, rng.randint(1, 4))) for _ in range(n_sanov)]
-    gens.append(random_unimodular(rng, 1, 3))
+# Word and conjugator lengths cycle through these in a fixed order, so that
+# every round has the same sizes and the seed picks only the letters: with
+# random lengths, the few largest queries of a run, and with them its tail
+# latency, changed from seed to seed.
+def _cycle(i: int, lo: int, hi: int) -> int:
+    return lo + i % (hi - lo + 1)
+
+
+def _member_yes(rng: random.Random, n_sanov: int, tlen: int, i: int):
+    gens = [sanov_matrix(random_letters(rng, _cycle(i + j, 1, 4))) for j in range(n_sanov)]
+    gens.append(random_unimodular(rng, _cycle(i, 1, 3)))
     factors = [rng.choice(gens) for _ in range(tlen)]
     target = product(g if rng.random() < 0.5 else inv(g) for g in factors)
     return gens, target
@@ -115,9 +124,9 @@ def _member_no(rng: random.Random, n_gens: int, wlen: int):
     """Generators p w_i p^-1 span a conjugate of a Sanov subgroup; the target
     p T w p^-1 lies outside it because T w is not even in the Sanov group
     (T is not congruent to I mod 2)."""
-    p = random_unimodular(rng, 1, 4)
-    gens = [conjugate(p, sanov_matrix(random_letters(rng, rng.randint(1, 4))))
-            for _ in range(n_gens)]
+    p = random_unimodular(rng, _cycle(wlen, 1, 4))
+    gens = [conjugate(p, sanov_matrix(random_letters(rng, _cycle(wlen + j, 1, 4))))
+            for j in range(n_gens)]
     target = conjugate(p, mul(T, sanov_matrix(random_letters(rng, wlen))))
     return gens, target
 
@@ -130,8 +139,8 @@ def member_mixed_round(rng: random.Random) -> list[Query]:
     of such queries did not repeat from seed to seed."""
     cases = []
     for n_sanov in (1, 2):
-        for tlen in (1, 2, 3, 4, 5) * 2:
-            gens, target = _member_yes(rng, n_sanov, tlen)
+        for i, tlen in enumerate((1, 2, 3, 4, 5) * 2):
+            gens, target = _member_yes(rng, n_sanov, tlen, i)
             cases.append(Query("", True, tuple(gens), target))
     for n_gens in (1, 2, 3, 4):
         for wlen in range(5):
@@ -147,16 +156,16 @@ def identity_round(rng: random.Random) -> list[Query]:
     put a run's sample count midway between the tail-percentile steps at
     200 and 1,000 queries."""
     cases = []
-    for _ in range(20):
-        gens = [random_unimodular(rng, 1, 3) for _ in range(2)]
+    for i in range(20):
+        gens = [random_unimodular(rng, _cycle(i + j, 1, 3)) for j in range(2)]
         gens.append(inv(product(gens)))
         rng.shuffle(gens)
         cases.append(Query("", True, tuple(gens)))
     for n_gens in (2, 3, 4, 5):
-        for _ in range(5):
-            p = random_unimodular(rng, 1, 4)
-            gens = [conjugate(p, sanov_matrix(random_letters(rng, rng.randint(2, 6), True)))
-                    for _ in range(n_gens)]
+        for i in range(5):
+            p = random_unimodular(rng, _cycle(i, 1, 4))
+            gens = [conjugate(p, sanov_matrix(random_letters(rng, _cycle(i + j, 2, 6), True)))
+                    for j in range(n_gens)]
             cases.append(Query("", False, tuple(gens)))
     return cases
 
