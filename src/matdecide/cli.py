@@ -2,7 +2,8 @@
 
 Exit codes: 0 = yes / witness found, 1 = no, 2 = unknown (bounded search
 exhausted, or no decision procedure for the dimension), 64 = usage error,
-65 = malformed input file. The same inputs always produce byte-identical
+65 = malformed input file, 70 = internal error (a bug, such as the two
+emptiness engines disagreeing). The same inputs always produce byte-identical
 output. MATDECIDE_REGISTER_CAP overrides the register caps of the bounded
 simulator used for witness extraction.
 """
@@ -22,6 +23,7 @@ from matdecide.automata import (
     to_free_group_automaton,
 )
 from matdecide.deciders import (
+    automaton_nonempty,
     decide_identity_in_semigroup,
     decide_subgroup_membership,
     identity_in_semigroup_bounded,
@@ -36,11 +38,11 @@ from matdecide.formats import (
     parse_matrix_list,
 )
 from matdecide.oracle import DEFAULT_DEPTH, group_word_search
-from matdecide.pda import free_automaton_emptiness, from_free_automaton, pda_emptiness
 from matdecide.sanov import default_coset_table, factor_in_sanov
 
 EX_USAGE = 64
 EX_DATAERR = 65
+EX_SOFTWARE = 70
 
 
 class _Parser(argparse.ArgumentParser):
@@ -223,20 +225,10 @@ def cmd_empty(args) -> int:
             {"command": "empty", "answer": "unknown", "witness": None},
         )
         return 2
-    if isinstance(v.label_domain, MatrixLabels):
-        searchable = prune_noninvertible(v)
-        word_aut = to_free_group_automaton(searchable, default_coset_table())
-    else:
-        searchable = v
-        word_aut = v
-    empty = free_automaton_emptiness(word_aut)
-    if args.checked:
-        via_pda = pda_emptiness(from_free_automaton(word_aut))
-        if via_pda != empty:
-            raise RuntimeError("emptiness engines disagree; this is a bug")
-    if empty:
+    if not automaton_nonempty(v, checked=args.checked):
         _emit(args, ["EMPTY"], {"command": "empty", "answer": "empty", "witness": None})
         return 1
+    searchable = prune_noninvertible(v) if isinstance(v.label_domain, MatrixLabels) else v
     witness = shortest_accepted_string(searchable, max_len=args.witness_len, register_cap=cap)
     if witness is not None:
         lines = [f"NONEMPTY: witness {witness!r}"]
@@ -363,12 +355,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FormatError as exc:
+    except ValueError as exc:  # FormatError included
         print(f"matdecide: {exc}", file=sys.stderr)
         return EX_DATAERR
-    except ValueError as exc:
-        print(f"matdecide: {exc}", file=sys.stderr)
-        return EX_DATAERR
+    except Exception as exc:
+        # Any other exception is a fault in matdecide; exit 1 would read as "no".
+        print(f"matdecide: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EX_SOFTWARE
 
 
 if __name__ == "__main__":

@@ -14,12 +14,15 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from matdecide.automata import (
+    MatrixLabels,
+    ValenceAutomaton,
     build_identity_automaton,
     build_membership_automaton,
     prune_noninvertible,
     to_free_group_automaton,
 )
 from matdecide.matrix import IntMatrix
+from matdecide.oracle import enumerate_products
 from matdecide.pda import free_automaton_emptiness, from_free_automaton, pda_emptiness
 from matdecide.sanov import default_coset_table
 
@@ -36,12 +39,16 @@ def _require_2x2(matrices: Sequence[IntMatrix]) -> None:
             raise ValueError(f"the exact decision procedure requires 2x2 matrices, got {m.n}x{m.n}")
 
 
-def _pipeline_nonempty(machine, checked: bool) -> bool:
-    pruned = prune_noninvertible(machine)
-    word_aut = to_free_group_automaton(pruned, default_coset_table())
-    empty = free_automaton_emptiness(word_aut)
+def automaton_nonempty(v: ValenceAutomaton, *, checked: bool = False) -> bool:
+    """Exact emptiness test for an automaton with 2x2 matrix labels or
+    free-word labels. Matrix labels are pruned and converted through the
+    coset table first. With checked, the pushdown engine runs too, and a
+    disagreement between the two engines raises RuntimeError."""
+    if isinstance(v.label_domain, MatrixLabels):
+        v = to_free_group_automaton(prune_noninvertible(v), default_coset_table())
+    empty = free_automaton_emptiness(v)
     if checked:
-        via_pda = pda_emptiness(from_free_automaton(word_aut))
+        via_pda = pda_emptiness(from_free_automaton(v))
         if via_pda != empty:
             raise RuntimeError(
                 "emptiness engines disagree "
@@ -77,7 +84,7 @@ def decide_subgroup_membership(
         dict.fromkeys(invertible + [g.inverse_unimodular() for g in invertible])
     )
     machine = build_membership_automaton(y, symmetrized)
-    answer = _pipeline_nonempty(machine, checked)
+    answer = automaton_nonempty(machine, checked=checked)
     return Decision(answer, "decided by coset conversion and emptiness of the membership machine")
 
 
@@ -103,7 +110,7 @@ def decide_identity_in_semigroup(
     if not invertible:
         return Decision(False, "no unimodular generators; no product can reach determinant 1")
     machine = build_identity_automaton(invertible)
-    answer = _pipeline_nonempty(machine, checked)
+    answer = automaton_nonempty(machine, checked=checked)
     return Decision(answer, "decided by coset conversion and emptiness of the identity machine")
 
 
@@ -125,19 +132,9 @@ def membership_bounded(
     dims = {m.n for m in [y, *gens]}
     if len(dims) != 1:
         raise ValueError(f"matrices of mixed dimensions: {sorted(dims)}")
-    seen: set[IntMatrix] = set()
-    layer: list[tuple[IntMatrix, tuple[int, ...]]] = [(IntMatrix.identity(y.n), ())]
-    for _ in range(max_len):
-        next_layer: list[tuple[IntMatrix, tuple[int, ...]]] = []
-        for prod, seq in layer:
-            for i, g in enumerate(gens, start=1):
-                cand = prod * g
-                if cand == y:
-                    return seq + (i,)
-                if cand not in seen:
-                    seen.add(cand)
-                    next_layer.append((cand, seq + (i,)))
-        layer = next_layer
+    for prod, witness in enumerate_products(gens, max_len):
+        if prod == y:
+            return witness
     return None
 
 

@@ -55,25 +55,12 @@ def group_word_search(
     for g in gens:
         if not g.is_unimodular():
             raise ValueError("group search requires unimodular generators")
-    symbols: list[tuple[int, IntMatrix]] = []
-    for i, g in enumerate(gens, start=1):
-        symbols.append((i, g))
-        symbols.append((-i, g.inverse_unimodular()))
-
-    identity = IntMatrix.identity(y.n)
-    if y == identity:
+    if y == IntMatrix.identity(y.n):
         return ()
-    seen = {identity}
-    layer: list[tuple[IntMatrix, tuple[int, ...]]] = [(identity, ())]
-    for _ in range(max_len):
-        next_layer: list[tuple[IntMatrix, tuple[int, ...]]] = []
-        for prod, seq in layer:
-            for sym, g in symbols:
-                cand = prod * g
-                if cand == y:
-                    return seq + (sym,)
-                if cand not in seen:
-                    seen.add(cand)
-                    next_layer.append((cand, seq + (sym,)))
-        layer = next_layer
+    # Interleaved [g1, g1^-1, g2, g2^-1, ...]: 1-based index j is generator
+    # (j + 1) // 2 when j is odd and its inverse when j is even.
+    symbols = [m for g in gens for m in (g, g.inverse_unimodular())]
+    for prod, seq in enumerate_products(symbols, max_len):
+        if prod == y:
+            return tuple((j + 1) // 2 if j % 2 else -(j // 2) for j in seq)
     return None

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from types import MappingProxyType
+from typing import Mapping
 
 from matdecide.matrix import IntMatrix
 from matdecide.words import FreeWord
@@ -25,16 +27,6 @@ GEN_B_INV = IntMatrix([[1, 0], [-2, 1]])
 GL2_S = IntMatrix([[0, -1], [1, 0]])
 GL2_T = IntMatrix([[1, 1], [0, 1]])
 GL2_J = IntMatrix([[1, 0], [0, -1]])
-
-_COSET_SAFETY_CAP = 256
-
-
-def _a_power(k: int) -> IntMatrix:
-    return IntMatrix([[1, 2 * k], [0, 1]])
-
-
-def _b_power(k: int) -> IntMatrix:
-    return IntMatrix([[1, 0], [2 * k, 1]])
 
 
 def eval_word(w: FreeWord) -> IntMatrix:
@@ -76,32 +68,27 @@ def factor_in_sanov(m: IntMatrix) -> FreeWord | None:
     """
     if m.n != 2:
         raise ValueError(f"expected a 2x2 matrix, got {m.n}x{m.n}")
-    if m.det() != 1:
+    (a, b), (c, d) = m.entries
+    if a * d - b * c != 1:
         return None
-    e = m.entries
-    if (e[0][0] & 1, e[0][1] & 1, e[1][0] & 1, e[1][1] & 1) != (1, 0, 0, 1):
+    if (a & 1, b & 1, c & 1, d & 1) != (1, 0, 0, 1):
         return None
 
     letters: list[int] = []
-    cur = m
-    while True:
-        a = cur.entries[0][0]
-        c = cur.entries[1][0]
-        if c == 0:
-            if a != 1:
-                return None  # remainder is -[[1,*],[0,1]]
-            b = cur.entries[0][1]
-            k = b // 2
-            letters.extend([1] * k if k >= 0 else [-1] * (-k))
-            return FreeWord(letters, rank=2)
+    while c != 0:
         if abs(a) > abs(c):
             k = _nearest(a, 2 * c)
             letters.extend([1] * k if k >= 0 else [-1] * (-k))
-            cur = _a_power(-k) * cur
+            a, b = a - 2 * k * c, b - 2 * k * d
         else:
             k = _nearest(c, 2 * a)
             letters.extend([2] * k if k >= 0 else [-2] * (-k))
-            cur = _b_power(-k) * cur
+            c, d = c - 2 * k * a, d - 2 * k * b
+    if a != 1:
+        return None  # remainder is -[[1,*],[0,1]]
+    k = b // 2
+    letters.extend([1] * k if k >= 0 else [-1] * (-k))
+    return FreeWord(letters, rank=2)
 
 
 @dataclass(frozen=True)
@@ -109,57 +96,76 @@ class CosetTable:
     """Right-coset representatives of the Sanov subgroup in GL(2,Z).
 
     reps[0] is the identity; matrices g, h lie in the same right coset iff
-    g * h^-1 factors in the subgroup.
+    g * h^-1 factors in the subgroup. The subgroup contains Gamma(4), so the
+    coset of a unimodular matrix is fixed by its entries mod 4: residues maps
+    each of the 96 unit residues mod 4 (as an (a, b, c, d) tuple) to its
+    coset index, 4 residues per coset.
     """
 
     reps: tuple[IntMatrix, ...]
     gl2_generators: tuple[IntMatrix, ...]
     rep_invs: tuple[IntMatrix, ...] = field(repr=False, default=())
+    residues: Mapping[tuple[int, int, int, int], int] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if not self.rep_invs:
             object.__setattr__(
                 self, "rep_invs", tuple(r.inverse_unimodular() for r in self.reps)
             )
+        residues: dict[tuple[int, int, int, int], int] = {}
+        for c, r in enumerate(self.reps):
+            _claim_coset(residues, c, r)
+        object.__setattr__(self, "residues", MappingProxyType(residues))
 
     @property
     def size(self) -> int:
         return len(self.reps)
 
 
+def _residue(m: IntMatrix) -> tuple[int, int, int, int]:
+    (a, b), (c, d) = m.entries
+    return a % 4, b % 4, c % 4, d % 4
+
+
+# The subgroup's image mod 4: A and B are involutions there and commute.
+_SANOV_MOD4 = (IntMatrix.identity(2), GEN_A, GEN_B, GEN_A * GEN_B)
+
+
+def _claim_coset(residues: dict, c: int, rep: IntMatrix) -> None:
+    """Send the 4 residues of the coset Sanov * rep to index c."""
+    for h in _SANOV_MOD4:
+        residues[_residue(h * rep)] = c
+
+
 def coset_index(table: CosetTable, m: IntMatrix) -> int:
-    """Index of the right coset containing m (m must be unimodular)."""
-    for c, rep_inv in enumerate(table.rep_invs):
-        if factor_in_sanov(m * rep_inv) is not None:
-            return c
-    raise ValueError("matrix lies in no coset; is it unimodular?")
+    """Index of the right coset containing m (m must be unimodular 2x2)."""
+    if m.n != 2 or not m.is_unimodular():
+        raise ValueError("coset_index requires a unimodular 2x2 matrix")
+    return table.residues[_residue(m)]
 
 
 def build_coset_table() -> CosetTable:
-    """BFS closure of the right-coset action; closes at exactly 24 cosets."""
+    """BFS closure of the right-coset action under S, T, J; a candidate is new
+    iff its residue mod 4 is unclaimed, so it closes at exactly 24 cosets."""
     gens = (GL2_S, GL2_T, GL2_J)
     reps = [IntMatrix.identity(2)]
-    rep_invs = [IntMatrix.identity(2)]
+    residues: dict[tuple[int, int, int, int], int] = {}
+    _claim_coset(residues, 0, reps[0])
     frontier = [0]
     while frontier:
         next_frontier = []
         for c in frontier:
             for g in gens:
                 cand = reps[c] * g
-                if any(
-                    factor_in_sanov(cand * inv) is not None for inv in rep_invs
-                ):
+                if _residue(cand) in residues:
                     continue
+                _claim_coset(residues, len(reps), cand)
+                next_frontier.append(len(reps))
                 reps.append(cand)
-                rep_invs.append(cand.inverse_unimodular())
-                next_frontier.append(len(reps) - 1)
-                if len(reps) > _COSET_SAFETY_CAP:
-                    raise RuntimeError(
-                        "coset closure exceeded the safety cap; "
-                        "the membership test must be broken"
-                    )
         frontier = next_frontier
-    return CosetTable(reps=tuple(reps), gl2_generators=gens, rep_invs=tuple(rep_invs))
+    return CosetTable(reps=tuple(reps), gl2_generators=gens)
 
 
 @lru_cache(maxsize=1)
@@ -171,16 +177,14 @@ def default_coset_table() -> CosetTable:
 def schreier_rewrite(table: CosetTable, c: int, g: IntMatrix) -> tuple[int, FreeWord]:
     """Rewrite reps[c] * g as (subgroup word) * reps[c'], returning (c', word).
 
-    g must be unimodular; exactly one coset satisfies the defining equation,
-    found by scanning all candidates (labels are arbitrary unimodular
-    matrices, so there is no generator-indexed action to consult; the scan's
-    failed factorizations reject cheaply on determinant/parity).
+    g must be unimodular. c' is looked up from the residue of reps[c] * g mod
+    4, and the word is the one factorization of reps[c] * g * reps[c']^-1.
     """
     if not g.is_unimodular():
         raise ValueError("rewrite requires a unimodular matrix")
     moved = table.reps[c] * g
-    for c2, rep_inv in enumerate(table.rep_invs):
-        w = factor_in_sanov(moved * rep_inv)
-        if w is not None:
-            return c2, w
-    raise RuntimeError("no coset matched a unimodular matrix; table is inconsistent")
+    c2 = table.residues[_residue(moved)]
+    w = factor_in_sanov(moved * table.rep_invs[c2])
+    if w is None:
+        raise RuntimeError("the residue map chose the wrong coset; table is inconsistent")
+    return c2, w

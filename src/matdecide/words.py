@@ -108,14 +108,3 @@ class FreeWord:
             letters.append(-idx if inverse else idx)
         return cls(letters, rank)
 
-
-def concat_reduce(u: FreeWord, v: FreeWord) -> FreeWord:
-    return u.concat(v)
-
-
-def invert(u: FreeWord) -> FreeWord:
-    return u.inverse()
-
-
-def is_identity(u: FreeWord) -> bool:
-    return u.is_identity()

@@ -1,11 +1,12 @@
 """End-to-end CLI checks, including the exit-code contract: 0 yes/witness,
-1 no, 2 unknown, 64 usage, 65 malformed input. Dimensions other than 2 must
-never produce a definitive no."""
+1 no, 2 unknown, 64 usage, 65 malformed input, 70 internal error. Dimensions
+other than 2 must never produce a definitive no."""
 
 import json
 
 import pytest
 
+from matdecide import deciders
 from matdecide.cli import main
 from matdecide.formats import format_automaton, format_matrix, format_matrix_list, parse_automaton
 from matdecide.automata import build_identity_automaton, build_membership_automaton
@@ -230,6 +231,22 @@ def test_search_semigroup_and_group(capsys, files):
     )
     assert code2 == 0
     assert "1 -2" in out2
+
+
+def test_engine_disagreement_exits_70(capsys, files, monkeypatch):
+    real = deciders.pda_emptiness
+    monkeypatch.setattr(deciders, "pda_emptiness", lambda pda: not real(pda))
+    aut = files("aut.json", format_automaton(build_membership_automaton(A, [B])))
+    target = files("y.json", format_matrix(A * B))
+    gens = files("gens.json", format_matrix_list([A, B]))
+    for argv in (
+        ("empty", aut, "--checked"),
+        ("member", "--target", target, "--gens", gens, "--checked"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (70, "")
+        assert err.count("\n") == 1
+        assert "engines disagree" in err
 
 
 def test_usage_errors_exit_64(capsys):

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from matdecide.matrix import IntMatrix
@@ -134,3 +136,20 @@ def test_coset_index_identifies_membership(rng):
         m = eval_word(random_reduced_word(rng, 5))
         assert coset_index(table, m) == 0
     assert coset_index(table, T) != 0
+
+
+def test_coset_index_matches_factorization_scan(rng):
+    # Reference: the coset is the unique c with m * reps[c]^-1 in the subgroup.
+    table = default_coset_table()
+    dets = set()
+    for _ in range(300):
+        m = random_unimodular(rng, 10)
+        dets.add(m.det())
+        hits = [
+            c for c in range(table.size)
+            if factor_in_sanov(m * table.rep_invs[c]) is not None
+        ]
+        assert hits == [coset_index(table, m)]
+    assert dets == {1, -1}
+    assert len(table.residues) == 96
+    assert Counter(table.residues.values()) == {c: 4 for c in range(table.size)}

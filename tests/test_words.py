@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from matdecide.words import FreeWord, concat_reduce, invert, is_identity
+from matdecide.words import FreeWord
 
 letters = st.lists(st.sampled_from([1, -1, 2, -2]), max_size=20)
 words = st.builds(lambda ls: FreeWord(ls, 2), letters)
@@ -20,15 +20,15 @@ def test_concat_examples():
 
 
 def test_invert_examples():
-    assert invert(FreeWord.identity(2)) == FreeWord.identity(2)
-    assert invert(w("a b")) == w("b' a'")
-    assert invert(w("a a b'")) == w("b a' a'")
+    assert FreeWord.identity(2).inverse() == FreeWord.identity(2)
+    assert w("a b").inverse() == w("b' a'")
+    assert w("a a b'").inverse() == w("b a' a'")
 
 
 def test_is_identity():
-    assert is_identity(FreeWord.identity(2))
-    assert not is_identity(w("a"))
-    assert is_identity(concat_reduce(w("a b"), w("b' a'")))
+    assert FreeWord.identity(2).is_identity()
+    assert not w("a").is_identity()
+    assert w("a b").concat(w("b' a'")).is_identity()
 
 
 def test_construction_reduces_eagerly():
@@ -78,13 +78,13 @@ def test_concat_associative(u, v, x):
 
 @given(words)
 def test_inverse_cancels(u):
-    assert len(u * invert(u)) == 0
-    assert len(invert(u) * u) == 0
+    assert len(u * u.inverse()) == 0
+    assert len(u.inverse() * u) == 0
 
 
 @given(words)
 def test_inverse_involution(u):
-    assert invert(invert(u)) == u
+    assert u.inverse().inverse() == u
 
 
 def test_immutability_and_hashing():
