@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
-"""Compare the pure-Python and compiled kernels on the two hot paths: the
-identity-reachability closure that powers the emptiness decider, and reduced
-word concatenation. Synthetic instances mirror what the decision pipeline
-produces (single-letter edges from split coset-product machines).
+"""Time the kernels on the two hot paths: the identity-reachability closure
+that powers the emptiness decider, and reduced word concatenation. Synthetic
+instances mirror what the decision pipeline produces (single-letter edges
+from split coset-product machines).
 
 Run: python benchmarks/bench_kernels.py
 """
@@ -12,12 +12,7 @@ from __future__ import annotations
 import random
 import time
 
-from matdecide import _kernel_py
-
-try:
-    from matdecide import _ck
-except ImportError:
-    _ck = None
+from matdecide import _kernel
 
 
 def pipeline_like_instance(rng: random.Random, n_units: int):
@@ -58,24 +53,12 @@ def bench_dyck(label: str, n_units: int, repeats: int) -> None:
     rng = random.Random(42)
     instances = [pipeline_like_instance(rng, n_units) for _ in range(repeats)]
 
-    def run(mod):
-        t0 = time.perf_counter()
-        answers = [
-            mod.dyck_nonempty(n, edges, init, acc) for n, edges, init, acc in instances
-        ]
-        return time.perf_counter() - t0, answers
-
-    pure_t, pure_ans = run(_kernel_py)
-    if _ck is None:
-        print(f"{label:<28} pure {pure_t * 1000:8.1f} ms   compiled      n/a")
-        return
-    comp_t, comp_ans = run(_ck)
-    assert pure_ans == comp_ans
+    t0 = time.perf_counter()
+    for n, edges, init, acc in instances:
+        _kernel.dyck_nonempty(n, edges, init, acc)
+    elapsed = time.perf_counter() - t0
     states = instances[0][0]
-    print(
-        f"{label:<28} pure {pure_t * 1000:8.1f} ms   compiled {comp_t * 1000:8.1f} ms"
-        f"   speedup {pure_t / comp_t:5.1f}x   (~{states} states x{repeats})"
-    )
+    print(f"{label:<28} {elapsed * 1000:8.1f} ms   (~{states} states x{repeats})")
 
 
 def bench_concat(label: str, word_len: int, repeats: int) -> None:
@@ -94,26 +77,14 @@ def bench_concat(label: str, word_len: int, repeats: int) -> None:
 
     pairs = [(reduced(word_len), reduced(word_len)) for _ in range(repeats)]
 
-    def run(mod):
-        t0 = time.perf_counter()
-        for u, v in pairs:
-            mod.concat_reduce_letters(u, v)
-        return time.perf_counter() - t0
-
-    pure_t = run(_kernel_py)
-    if _ck is None:
-        print(f"{label:<28} pure {pure_t * 1000:8.1f} ms   compiled      n/a")
-        return
-    comp_t = run(_ck)
-    print(
-        f"{label:<28} pure {pure_t * 1000:8.1f} ms   compiled {comp_t * 1000:8.1f} ms"
-        f"   speedup {pure_t / comp_t:5.1f}x"
-    )
+    t0 = time.perf_counter()
+    for u, v in pairs:
+        _kernel.concat_reduce_letters(u, v)
+    elapsed = time.perf_counter() - t0
+    print(f"{label:<28} {elapsed * 1000:8.1f} ms")
 
 
 def main() -> None:
-    if _ck is None:
-        print("compiled kernels not built; showing pure-Python timings only\n")
     bench_dyck("closure, small machines", 12, 60)
     bench_dyck("closure, medium machines", 30, 5)
     bench_dyck("closure, large machines", 60, 1)

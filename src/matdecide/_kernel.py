@@ -1,40 +1,122 @@
-"""Kernel selection: prefer the compiled extension, fall back to pure Python.
+"""Kernels for the two hot paths: free-word reduction and the
+identity-reachability closure behind the emptiness decider.
 
-Set MATDECIDE_KERNEL=pure (or =compiled) to force a backend; forcing compiled
-raises if the extension is not built.
+Letters are nonzero signed ints: +i is generator i, -i its inverse, and 0 is
+reserved for the empty label on normalized automaton edges.
 """
 
 from __future__ import annotations
 
-import os
-
-from matdecide import _kernel_py
-
-_forced = os.environ.get("MATDECIDE_KERNEL", "").strip().lower()
-
-if _forced == "pure":
-    _impl = _kernel_py
-    BACKEND = "pure"
-else:
-    try:
-        from matdecide import _ck as _impl  # type: ignore[no-redef]
-
-        BACKEND = "compiled"
-    except ImportError:
-        if _forced == "compiled":
-            raise ImportError(
-                "MATDECIDE_KERNEL=compiled but matdecide._ck is not built; "
-                "reinstall with Cython and a C compiler available"
-            ) from None
-        _impl = _kernel_py
-        BACKEND = "pure"
-
-reduce_letters = _impl.reduce_letters
-concat_reduce_letters = _impl.concat_reduce_letters
-dyck_closure = _impl.dyck_closure
-dyck_nonempty = _impl.dyck_nonempty
+from collections import deque
+from typing import Iterable, Iterator, Sequence
 
 
 def kernel_backend() -> str:
-    """Name of the active kernel backend: 'compiled' or 'pure'."""
-    return BACKEND
+    """Name of the kernel implementation; there is one, in pure Python."""
+    return "pure"
+
+
+def reduce_letters(letters: Iterable[int]) -> tuple[int, ...]:
+    """Freely reduce a letter sequence (cancel adjacent x, -x pairs)."""
+    out: list[int] = []
+    for x in letters:
+        if out and out[-1] == -x:
+            out.pop()
+        else:
+            out.append(x)
+    return tuple(out)
+
+
+def concat_reduce_letters(u: Sequence[int], v: Sequence[int]) -> tuple[int, ...]:
+    """Reduced concatenation of two already-reduced letter sequences.
+
+    Cancellation can only happen at the seam, so this is O(cancelled length).
+    """
+    i = len(u) - 1
+    j = 0
+    while i >= 0 and j < len(v) and u[i] == -v[j]:
+        i -= 1
+        j += 1
+    return tuple(u[: i + 1]) + tuple(v[j:])
+
+
+def _bits(mask: int) -> Iterator[int]:
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _closure_rows(n_states: int, edges: Sequence[tuple[int, int, int]]) -> list[int]:
+    """Rows of the closure as bitsets: bit q of row p is set iff R(p,q)."""
+    fwd = [0] * n_states  # row p: the q with R(p,q)
+    bwd = [0] * n_states  # column q: the p with R(p,q)
+    in_by_dst: list[list[tuple[int, int]]] = [[] for _ in range(n_states)]  # dst -> [(letter, src)]
+    out_by: dict[tuple[int, int], list[int]] = {}  # (src, letter) -> [dst]
+    work: deque[tuple[int, int]] = deque()
+
+    def add(p: int, q: int) -> None:
+        if not fwd[p] >> q & 1:
+            fwd[p] |= 1 << q
+            bwd[q] |= 1 << p
+            work.append((p, q))
+
+    for src, letter, dst in edges:
+        if letter == 0:
+            add(src, dst)
+        else:
+            in_by_dst[dst].append((letter, src))
+            out_by.setdefault((src, letter), []).append(dst)
+    for p in range(n_states):
+        add(p, p)
+
+    while work:
+        p, q = work.popleft()
+        for letter, u in in_by_dst[p]:
+            for v in out_by.get((q, -letter), ()):
+                add(u, v)
+        # transitivity on both sides: R(q,r) gives R(p,r), R(o,p) gives R(o,q)
+        new = fwd[q] & ~fwd[p]
+        if new:
+            fwd[p] |= new
+            for r in _bits(new):
+                bwd[r] |= 1 << p
+                work.append((p, r))
+        new = bwd[p] & ~bwd[q]
+        if new:
+            bwd[q] |= new
+            for o in _bits(new):
+                fwd[o] |= 1 << q
+                work.append((o, q))
+
+    return fwd
+
+
+def dyck_closure(n_states: int, edges: Sequence[tuple[int, int, int]]) -> set[tuple[int, int]]:
+    """Least relation R on states closed under:
+
+      R(p,p); R(p,q) for every empty-label edge p->q; transitivity; and the
+      wrap rule: edges p -x-> p', q' -(-x)-> q with R(p',q') give R(p,q).
+
+    R(p,q) says q is reachable from p along a path whose letters freely reduce
+    to the empty word. Edges are (src, letter, dst) with letter 0 meaning the
+    empty label. The worklist fixpoint adds each pair once, so it terminates
+    after at most n_states**2 additions.
+    """
+    fwd = _closure_rows(n_states, edges)
+    return {(p, q) for p in range(n_states) for q in _bits(fwd[p])}
+
+
+def dyck_nonempty(
+    n_states: int,
+    edges: Sequence[tuple[int, int, int]],
+    initial: int,
+    accepting: Sequence[int],
+) -> bool:
+    """True iff some accepting state is identity-reachable from the initial one."""
+    targets = 0
+    for q in accepting:
+        targets |= 1 << q
+    if not targets:
+        return False
+    return bool(_closure_rows(n_states, edges)[initial] & targets)

@@ -51,6 +51,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EX_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _length_bound(text: str) -> int:
+    """argparse type for --bounded, --max-len and --witness-len."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _register_cap() -> Optional[int]:
     raw = os.environ.get("MATDECIDE_REGISTER_CAP")
     if raw is None:
@@ -307,7 +314,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("member", help="is the target in the group generated by the generators?")
     p.add_argument("--target", required=True, help="file with one matrix")
     p.add_argument("--gens", required=True, help="file with a matrix list")
-    p.add_argument("--bounded", type=int, metavar="K",
+    p.add_argument("--bounded", type=_length_bound, metavar="K",
                    help="force bounded product search up to length K")
     p.add_argument("--checked", action="store_true",
                    help="cross-check both emptiness engines")
@@ -316,7 +323,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("identity", help="does a product of generators equal the identity?")
     p.add_argument("--gens", required=True, help="file with a matrix list")
-    p.add_argument("--bounded", type=int, metavar="K",
+    p.add_argument("--bounded", type=_length_bound, metavar="K",
                    help="force bounded product search up to length K")
     p.add_argument("--checked", action="store_true",
                    help="cross-check both emptiness engines")
@@ -327,7 +334,7 @@ def _build_parser() -> _Parser:
     p.add_argument("automaton", help="automaton JSON file")
     p.add_argument("--checked", action="store_true",
                    help="cross-check both emptiness engines")
-    p.add_argument("--witness-len", type=int, default=8,
+    p.add_argument("--witness-len", type=_length_bound, default=8,
                    help="max input length for witness extraction")
     common(p)
     p.set_defaults(func=cmd_empty)
@@ -341,7 +348,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("search", help="bounded product search (any dimension)")
     p.add_argument("--target", required=True, help="file with one matrix")
     p.add_argument("--gens", required=True, help="file with a matrix list")
-    p.add_argument("--max-len", type=int, default=DEFAULT_DEPTH)
+    p.add_argument("--max-len", type=_length_bound, default=DEFAULT_DEPTH)
     p.add_argument("--group", action="store_true",
                    help="search words over generators and their inverses")
     common(p)

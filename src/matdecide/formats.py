@@ -31,7 +31,7 @@ def _int_from(obj: Any, where: str) -> int:
         return obj
     if isinstance(obj, str):
         body = obj[1:] if obj.startswith("-") else obj
-        if body.isdigit():
+        if body.isascii() and body.isdigit():
             return int(obj)
     raise FormatError(f"{where}: expected a decimal integer string, got {obj!r}")
 
@@ -133,7 +133,10 @@ def automaton_from_obj(obj: Any) -> ValenceAutomaton:
     if not isinstance(alphabet, list) or not all(isinstance(s, str) for s in alphabet):
         raise FormatError("alphabet: expected an array of symbols")
     domain = _domain_from_obj(obj["label_domain"])
-    if not isinstance(obj["accepting"], list):
+    if not isinstance(obj["initial"], str):
+        raise FormatError("initial: expected a state name")
+    accepting = obj["accepting"]
+    if not isinstance(accepting, list) or not all(isinstance(q, str) for q in accepting):
         raise FormatError("accepting: expected an array of state names")
     edges = []
     raw_edges = obj["edges"]
@@ -146,6 +149,9 @@ def automaton_from_obj(obj: Any) -> ValenceAutomaton:
         for field in ("src", "input", "label", "dst"):
             if field not in raw:
                 raise FormatError(f"{where}: missing field {field!r}")
+        for field in ("src", "dst"):
+            if not isinstance(raw[field], str):
+                raise FormatError(f"{where}.{field}: expected a state name")
         symbol = raw["input"]
         if symbol is not None and not isinstance(symbol, str):
             raise FormatError(f"{where}.input: expected a symbol or null")
@@ -166,7 +172,7 @@ def automaton_from_obj(obj: Any) -> ValenceAutomaton:
             label_domain=domain,
             edges=edges,
             initial=obj["initial"],
-            accepting=obj["accepting"],
+            accepting=accepting,
         )
     except ValueError as exc:
         raise FormatError(f"automaton: {exc}") from None

@@ -197,23 +197,22 @@ def pda_emptiness(p: Pda) -> bool:
 def free_automaton_emptiness(v: ValenceAutomaton) -> bool:
     """Exact emptiness of a word-labeled valence automaton (true = empty).
 
-    Normalizes edges to single letters, trims states off every
-    initial-to-accepting path in the underlying digraph, then asks the
+    Trims states off every initial-to-accepting path in the underlying
+    digraph, splits the surviving edges into single-letter hops, then asks the
     identity-reachability closure whether an accepting state is reachable
     from the initial one along a path whose label reduces to the empty word.
+    Trimming first gives the same states as trimming after the split: a hop
+    lies on an initial-to-accepting path iff both ends of its edge do.
     """
-    states, norm = _split_word_edges(v)
-    idx = {q: i for i, q in enumerate(states)}
-    initial = idx[v.initial]
-    accepting = {idx[q] for q in v.accepting}
+    if not isinstance(v.label_domain, WordLabels):
+        raise ValueError("expected an automaton with free-word labels")
+    fwd_adj: dict[str, list[str]] = {}
+    bwd_adj: dict[str, list[str]] = {}
+    for e in v.edges:
+        fwd_adj.setdefault(e.src, []).append(e.dst)
+        bwd_adj.setdefault(e.dst, []).append(e.src)
 
-    fwd_adj: dict[int, list[int]] = {}
-    bwd_adj: dict[int, list[int]] = {}
-    for e in norm:
-        fwd_adj.setdefault(idx[e.src], []).append(idx[e.dst])
-        bwd_adj.setdefault(idx[e.dst], []).append(idx[e.src])
-
-    def reach(seeds: Iterable[int], adj: dict[int, list[int]]) -> set[int]:
+    def reach(seeds: Iterable[str], adj: dict[str, list[str]]) -> set[str]:
         seen = set(seeds)
         queue = deque(seen)
         while queue:
@@ -224,21 +223,25 @@ def free_automaton_emptiness(v: ValenceAutomaton) -> bool:
                     queue.append(nxt)
         return seen
 
-    alive = reach([initial], fwd_adj) & reach(accepting, bwd_adj)
-    if initial not in alive or not (accepting & alive):
+    alive = reach([v.initial], fwd_adj) & reach(v.accepting, bwd_adj)
+    if v.initial not in alive:
         return True
 
-    compact = {q: i for i, q in enumerate(sorted(alive))}
-    edges = [
-        (compact[idx[e.src]], e.letter, compact[idx[e.dst]])
-        for e in norm
-        if idx[e.src] in alive and idx[e.dst] in alive
-    ]
+    idx = {q: i for i, q in enumerate(q for q in v.states if q in alive)}
+    n_states = len(idx)
+    edges: list[tuple[int, int, int]] = []
+    for e in v.edges:
+        if e.src not in alive or e.dst not in alive:
+            continue
+        letters = e.label.letters
+        cur = idx[e.src]
+        for x in letters[:-1]:
+            edges.append((cur, x, n_states))
+            cur = n_states
+            n_states += 1
+        edges.append((cur, letters[-1] if letters else 0, idx[e.dst]))
     return not _kernel.dyck_nonempty(
-        len(compact),
-        edges,
-        compact[initial],
-        [compact[q] for q in accepting if q in alive],
+        n_states, edges, idx[v.initial], [idx[q] for q in v.accepting if q in alive]
     )
 
 

@@ -260,6 +260,41 @@ def test_usage_errors_exit_64(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("option", ["--bounded", "--max-len", "--witness-len"])
+def test_negative_bounds_exit_64(capsys, files, option):
+    gens = files("gens.json", format_matrix_list([A]))
+    target = files("y.json", format_matrix(A))
+    aut = files("aut.json", format_automaton(build_membership_automaton(A, [A])))
+    argv = {
+        "--bounded": ["member", "--target", target, "--gens", gens],
+        "--max-len": ["search", "--target", target, "--gens", gens],
+        "--witness-len": ["empty", aut],
+    }[option]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [option, "-3"])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (64, "")
+    assert option in err
+
+
+@pytest.mark.parametrize(
+    "field, mutate",
+    [
+        ("edges[0].src", lambda doc: doc["edges"][0].update(src=["q1"])),
+        ("edges[0].dst", lambda doc: doc["edges"][0].update(dst=7)),
+        ("initial", lambda doc: doc.update(initial=["q1"])),
+        ("accepting", lambda doc: doc["accepting"].append(["q2"])),
+    ],
+    ids=["src", "dst", "initial", "accepting"],
+)
+def test_non_string_state_names_exit_65(capsys, files, field, mutate):
+    doc = json.loads(format_automaton(build_membership_automaton(A, [A_INV])))
+    mutate(doc)
+    code, out, err = run(capsys, "empty", files("aut.json", json.dumps(doc)))
+    assert (code, out) == (65, "")
+    assert field in err
+
+
 def test_structured_outputs_are_deterministic(capsys, files):
     gens = files("gens.json", format_matrix_list([A, A_INV]))
     first = run(capsys, "identity", "--gens", gens, "--format", "structured")

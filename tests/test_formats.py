@@ -44,6 +44,8 @@ def test_matrix_parse_errors_carry_context():
         parse_matrix('[["1","x"],["0","1"]]')
     with pytest.raises(FormatError, match="square"):
         parse_matrix('[["1","2"]]')
+    with pytest.raises(FormatError, match=r"matrix\[0\]\[0\]"):
+        parse_matrix('[["\u0661\u0662","0"],["0","1"]]')
 
 
 def test_matrix_list_roundtrip():
