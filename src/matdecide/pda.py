@@ -132,10 +132,47 @@ def pda_emptiness(p: Pda) -> bool:
     accepting empty-stack configurations, is saturated until it recognizes
     every configuration that can reach one. The language is nonempty iff the
     initial configuration (initial state, bare bottom marker) is recognized.
+
+    The configuration automaton is held as one bitset per (state, stack
+    symbol): the nodes it reaches from that state on that symbol. A rule
+    that rewrites a top into one symbol makes one bitset include another; a
+    push rule adds such an inclusion for every node the pushed symbol leads
+    to. Only the bits a set gains are passed on, and the saturation stops
+    once the initial configuration is recognized.
     """
+    num = {q: i for i, q in enumerate(p.states)}
     syms = _stack_symbols(p.stack_rank)
-    rules: set[tuple[str, int, str, tuple[int, ...]]] = set()
     for t in p.transitions:
+        num.setdefault(t.src, len(num))
+        num.setdefault(t.dst, len(num))
+        for x in (t.guard_letter, t.action_letter):
+            if x is not None and x not in syms:
+                syms.append(x)
+    for q in (p.initial, *p.accepting):
+        num.setdefault(q, len(num))
+    pos = {x: i for i, x in enumerate(syms)}  # BOTTOM is at 0
+    width = len(syms)
+    fin = 1 << len(num)  # unique final node of the configuration automaton
+
+    # set v = num[q] * width + pos[sym]: the nodes read from q on sym
+    n_sets = len(num) * width
+    reach = [0] * n_sets
+    unsent = [0] * n_sets  # bits of reach[v] not yet passed on
+    supersets: list[list[int]] = [[] for _ in range(n_sets)]
+    # set of (dst, pushed symbol) -> (set of (src, top), pos of top)
+    pushes: list[list[tuple[int, int]]] = [[] for _ in range(n_sets)]
+    work: deque[int] = deque()
+
+    def grow(v: int, bits: int) -> None:
+        new = bits & ~reach[v]
+        if new:
+            reach[v] |= new
+            if not unsent[v]:
+                work.append(v)
+            unsent[v] |= new
+
+    for t in p.transitions:
+        src, dst = num[t.src] * width, num[t.dst] * width
         if t.guard == "any":
             tops = syms
         elif t.guard == "top_is":
@@ -144,54 +181,34 @@ def pda_emptiness(p: Pda) -> bool:
             tops = [g for g in syms if g != t.guard_letter]
         for top in tops:
             if t.action == "none":
-                rules.add((t.src, top, t.dst, (top,)))
+                supersets[dst + pos[top]].append(src + pos[top])
             elif t.action == "pop":
-                if top == BOTTOM:
-                    continue  # cannot pop an empty stack
-                rules.add((t.src, top, t.dst, ()))
+                if top != BOTTOM:  # cannot pop an empty stack
+                    grow(src + pos[top], 1 << num[t.dst])
             else:
-                rules.add((t.src, top, t.dst, (t.action_letter, top)))
-
-    # Rules fire when the configuration automaton can read their replacement
-    # word from their target node; index them by the first replacement symbol
-    # so each new automaton transition triggers only the rules that care.
-    rules1: dict[tuple[str, int], list[tuple[str, int]]] = {}
-    rules2: dict[tuple[str, int], list[tuple[str, int, int]]] = {}
-    fin = object()  # unique final node of the configuration automaton
-    index: dict[tuple[object, int], set[object]] = {}
-    # (node, sym) -> heads (p, top) waiting for a transition out of it
-    pending: dict[tuple[object, int], list[tuple[str, int]]] = {}
-    work: deque[tuple[object, int, object]] = deque()
-
-    def add(node: object, sym: int, dst: object) -> None:
-        bucket = index.setdefault((node, sym), set())
-        if dst not in bucket:
-            bucket.add(dst)
-            work.append((node, sym, dst))
-
-    for src, top, dst, repl in rules:
-        if not repl:
-            add(src, top, dst)
-        elif len(repl) == 1:
-            rules1.setdefault((dst, repl[0]), []).append((src, top))
-        else:
-            rules2.setdefault((dst, repl[0]), []).append((src, top, repl[1]))
+                pushes[dst + pos[t.action_letter]].append((src + pos[top], pos[top]))
 
     for qa in p.accepting:
-        add(qa, BOTTOM, fin)
+        grow(num[qa] * width, fin)
 
-    while work:
-        node, sym, dst = work.popleft()
-        for head in rules1.get((node, sym), ()):
-            add(head[0], head[1], dst)
-        for head in pending.get((node, sym), ()):
-            add(head[0], head[1], dst)
-        for src, top, second in rules2.get((node, sym), ()):
-            pending.setdefault((dst, second), []).append((src, top))
-            for t in tuple(index.get((dst, second), ())):
-                add(src, top, t)
+    goal = num[p.initial] * width
+    while work and not reach[goal] & fin:
+        v = work.popleft()
+        new = unsent[v]
+        unsent[v] = 0
+        for w in supersets[v]:
+            grow(w, new)
+        if pushes[v]:
+            mids = new & ~fin  # the final node reads nothing
+            while mids:
+                low = mids & -mids
+                mids ^= low
+                mid = (low.bit_length() - 1) * width
+                for w, top in pushes[v]:
+                    supersets[mid + top].append(w)
+                    grow(w, reach[mid + top])
 
-    return fin not in index.get((p.initial, BOTTOM), ())
+    return not reach[goal] & fin
 
 
 def free_automaton_emptiness(v: ValenceAutomaton) -> bool:

@@ -9,6 +9,8 @@ from matdecide.automata import (
     to_free_group_automaton,
 )
 from matdecide.pda import (
+    Pda,
+    PdaTransition,
     free_automaton_emptiness,
     from_free_automaton,
     pda_bounded_accepts,
@@ -86,6 +88,39 @@ def test_pda_emptiness_examples():
     )
     assert not pda_emptiness(from_free_automaton(pipeline))
     assert bounded_accepts(pipeline, "aa") is SimResult.ACCEPTED  # witness
+
+
+def test_pda_emptiness_on_guards_the_conversion_never_emits(rng):
+    # guarded plain moves and guarded pops appear only in hand-built machines
+    def machine(*moves):
+        ts = [PdaTransition(src, None, guard, gl, action, al, dst)
+              for src, guard, gl, action, al, dst in moves]
+        return Pda(("p", "q", "r", "s"), (), 2, tuple(ts), "p", frozenset({"s"}))
+
+    push = ("p", "any", None, "push", 1, "q")
+    pop = ("r", "top_is", 1, "pop", None, "s")
+    assert not pda_emptiness(machine(push, ("q", "top_is", 1, "none", None, "r"), pop))
+    assert pda_emptiness(machine(push, ("q", "top_is", 2, "none", None, "r"), pop))
+    assert not pda_emptiness(machine(push, ("q", "top_not", 2, "pop", None, "s")))
+    assert pda_emptiness(machine(push, ("q", "top_not", 1, "pop", None, "s")))
+
+    found = 0
+    for _ in range(300):
+        moves = []
+        for _ in range(rng.randint(1, 10)):
+            action = rng.choice(["none", "push", "pop"])
+            # the bounded search lets an unguarded pop empty a bare stack
+            guard = "top_is" if action == "pop" else rng.choice(["any", "top_is", "top_not"])
+            moves.append((
+                rng.choice("pqrs"), guard,
+                None if guard == "any" else rng.choice([1, -1, 2, -2]), action,
+                rng.choice([1, -1, 2, -2]) if action == "push" else None, rng.choice("pqrs"),
+            ))
+        pda = machine(*moves)
+        if pda_bounded_accepts(pda, (), stack_cap=12):
+            assert not pda_emptiness(pda), moves
+            found += 1
+    assert found > 20
 
 
 def test_free_automaton_emptiness_examples():
