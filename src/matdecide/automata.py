@@ -111,9 +111,6 @@ class ValenceAutomaton:
             return IntMatrix.identity(self.label_domain.dim)
         return FreeWord.identity(self.label_domain.rank)
 
-    def edges_from(self, state: str) -> tuple[Edge, ...]:
-        return tuple(e for e in self.edges if e.src == state)
-
 
 class Configuration(NamedTuple):
     state: str
@@ -234,12 +231,15 @@ def to_free_group_automaton(v: ValenceAutomaton, table: CosetTable) -> ValenceAu
     """Coset-product conversion of a unimodular 2x2-labeled automaton into a
     word-labeled one accepting the same language.
 
-    States are (state, coset) pairs. Each original edge labeled g maps, for
-    each coset c, to an edge labeled by the word w of the Schreier rewrite
-    reps[c] * g = eval(w) * reps[c']. Along any path from the initial pair the
-    matrix register equals eval(word register) * reps[current coset], so the
-    matrix register is the identity iff the word register is empty and the
-    coset is back at the identity coset.
+    States are the (state, coset) pairs reachable from the initial pair
+    (v.initial, 0), in breadth-first discovery order. An edge labeled g out of
+    a reached pair (q, c) maps to an edge labeled by the word w of the
+    Schreier rewrite reps[c] * g = eval(w) * reps[c']. Along any path from the
+    initial pair the matrix register equals eval(word register) *
+    reps[current coset], so the matrix register is the identity iff the word
+    register is empty and the coset is back at the identity coset. Every
+    accepting run starts at the initial pair, so leaving out the pairs it
+    cannot reach keeps the language.
     """
     if not isinstance(v.label_domain, MatrixLabels) or v.label_domain.dim != 2:
         raise ValueError("conversion requires 2x2 matrix labels")
@@ -250,26 +250,35 @@ def to_free_group_automaton(v: ValenceAutomaton, table: CosetTable) -> ValenceAu
     def pair(q: str, c: int) -> str:
         return f"{q}|{c}"
 
-    size = table.size
-    states = [pair(q, c) for q in v.states for c in range(size)]
+    by_src: dict[str, list[Edge]] = {}
+    for e in v.edges:
+        by_src.setdefault(e.src, []).append(e)
+    start = (v.initial, 0)
+    reached = {start: None}  # a dict, so the order is discovery order
+    queue = deque([start])
     edges = []
     cache: dict[tuple[int, IntMatrix], tuple[int, FreeWord]] = {}
-    for e in v.edges:
-        for c in range(size):
+    while queue:
+        q, c = queue.popleft()
+        for e in by_src.get(q, ()):
             key = (c, e.label)
             hit = cache.get(key)
             if hit is None:
                 hit = schreier_rewrite(table, c, e.label)
                 cache[key] = hit
             c2, w = hit
-            edges.append(Edge(pair(e.src, c), e.symbol, w, pair(e.dst, c2)))
+            dst = (e.dst, c2)
+            if dst not in reached:
+                reached[dst] = None
+                queue.append(dst)
+            edges.append(Edge(pair(q, c), e.symbol, w, pair(*dst)))
     return ValenceAutomaton(
-        states=states,
+        states=[pair(q, c) for q, c in reached],
         alphabet=v.alphabet,
         label_domain=WordLabels(2),
         edges=edges,
-        initial=pair(v.initial, 0),
-        accepting=tuple(pair(q, 0) for q in v.accepting),
+        initial=pair(*start),
+        accepting=[pair(q, 0) for q in v.accepting if (q, 0) in reached],
     )
 
 

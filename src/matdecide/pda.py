@@ -297,6 +297,8 @@ def pda_bounded_accepts(p: Pda, w: Sequence[str], stack_cap: int = 64) -> bool:
                 if len(nstack) > stack_cap:
                     continue
             elif t.action == "pop":
+                if not stack:
+                    continue  # the bottom of the stack is never popped
                 nstack = stack[:-1]
             else:
                 nstack = stack

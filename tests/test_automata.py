@@ -1,3 +1,5 @@
+from collections import deque
+
 import pytest
 
 from matdecide.automata import (
@@ -16,7 +18,7 @@ from matdecide.automata import (
     to_free_group_automaton,
 )
 from matdecide.matrix import IntMatrix
-from matdecide.sanov import default_coset_table, eval_word
+from matdecide.sanov import CosetTable, default_coset_table, eval_word, schreier_rewrite
 from matdecide.words import FreeWord
 
 from conftest import (
@@ -24,6 +26,9 @@ from conftest import (
     A_INV,
     B,
     I2,
+    J,
+    S,
+    T,
     all_strings,
     random_matrix_automaton,
     random_reduced_word,
@@ -117,9 +122,56 @@ def test_coset_conversion_shape_and_language():
     table = default_coset_table()
     v = build_membership_automaton(A, [A_INV])
     image = to_free_group_automaton(v, table)
-    assert len(image.states) == len(v.states) * 24
+    assert image.states == ("q1|0", "q2|0")  # A lies in the Sanov subgroup
     assert image.label_domain == WordLabels(2)
     assert bounded_accepts(image, "aa") is ACCEPT
+
+
+def full_product_conversion(v: ValenceAutomaton, table: CosetTable) -> ValenceAutomaton:
+    """Reference conversion: every edge rewritten from all 24 cosets, states
+    are all (state, coset) pairs."""
+    def pair(q, c):
+        return f"{q}|{c}"
+
+    edges = []
+    for e in v.edges:
+        for c in range(table.size):
+            c2, w = schreier_rewrite(table, c, e.label)
+            edges.append(Edge(pair(e.src, c), e.symbol, w, pair(e.dst, c2)))
+    return ValenceAutomaton(
+        [pair(q, c) for q in v.states for c in range(table.size)],
+        v.alphabet, WordLabels(2), edges, pair(v.initial, 0),
+        [pair(q, 0) for q in v.accepting],
+    )
+
+
+def restrict_to_reachable(v: ValenceAutomaton):
+    """States, edges and accepting states of v reachable from its initial state."""
+    seen = {v.initial}
+    queue = deque(seen)
+    while queue:
+        q = queue.popleft()
+        for e in v.edges:
+            if e.src == q and e.dst not in seen:
+                seen.add(e.dst)
+                queue.append(e.dst)
+    return seen, {e for e in v.edges if e.src in seen}, v.accepting & seen
+
+
+def test_coset_conversion_is_full_product_on_reachable_pairs(rng):
+    table = default_coset_table()
+    machines = [random_matrix_automaton(rng) for _ in range(20)]
+    machines += [build_membership_automaton(T, [S, T]), build_membership_automaton(T, [S, T, J])]
+    sizes = []
+    for v in machines:
+        image = to_free_group_automaton(v, table)
+        states, edges, accepting = restrict_to_reachable(full_product_conversion(v, table))
+        assert image.initial == f"{v.initial}|0"
+        assert set(image.states) == states
+        assert set(image.edges) == edges
+        assert image.accepting == accepting
+        sizes.append(len(image.states))
+    assert sizes[-2:] == [13, 25]
 
 
 def test_coset_conversion_epsilon_identity_edge():

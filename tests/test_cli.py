@@ -3,16 +3,20 @@
 other than 2 must never produce a definitive no."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import matdecide
 from matdecide import deciders
 from matdecide.cli import main
 from matdecide.formats import format_automaton, format_matrix, format_matrix_list, parse_automaton
 from matdecide.automata import build_identity_automaton, build_membership_automaton
 from matdecide.matrix import IntMatrix
 
-from conftest import A, A_INV, B, S
+from conftest import A, A_INV, B, J, S, T
 
 
 @pytest.fixture
@@ -205,7 +209,11 @@ def test_convert_roundtrips_and_converts(capsys, files, tmp_path):
     code, _, _ = run(capsys, "convert", path, "-o", out_path)
     assert code == 0
     image = parse_automaton(open(out_path).read())
-    assert len(image.states) == 48
+    assert image.states == ("q1|0", "q2|0")  # the pairs reachable from q1|0
+    stj = files("stj.json", format_automaton(build_membership_automaton(T, [S, T, J])))
+    code_stj, out_stj, _ = run(capsys, "convert", stj)
+    assert code_stj == 0
+    assert len(parse_automaton(out_stj).states) == 25
 
     # converting a word automaton is the identity transformation
     code2, out2, _ = run(capsys, "convert", out_path)
@@ -303,3 +311,19 @@ def test_structured_outputs_are_deterministic(capsys, files):
     payload = json.loads(first[1])
     assert payload["answer"] == "yes"
     assert payload["witness"] == [1, 2]
+
+
+def test_convert_output_ignores_the_hash_seed(files):
+    # state order comes from a breadth-first search, not from set iteration
+    path = files("stj.json", format_automaton(build_membership_automaton(T, [S, T, J])))
+    src = os.path.dirname(os.path.dirname(matdecide.__file__))
+    outputs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "matdecide.cli", "convert", path],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    assert len(parse_automaton(outputs[0]).states) == 25

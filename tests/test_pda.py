@@ -103,14 +103,17 @@ def test_pda_emptiness_on_guards_the_conversion_never_emits(rng):
     assert pda_emptiness(machine(push, ("q", "top_is", 2, "none", None, "r"), pop))
     assert not pda_emptiness(machine(push, ("q", "top_not", 2, "pop", None, "s")))
     assert pda_emptiness(machine(push, ("q", "top_not", 1, "pop", None, "s")))
+    # neither engine pops an empty stack, whatever the guard
+    for bare_pop in (("p", "any", None, "pop", None, "s"), ("p", "top_not", 1, "pop", None, "s")):
+        assert pda_emptiness(machine(bare_pop))
+        assert not pda_bounded_accepts(machine(bare_pop), ())
 
     found = 0
     for _ in range(300):
         moves = []
         for _ in range(rng.randint(1, 10)):
             action = rng.choice(["none", "push", "pop"])
-            # the bounded search lets an unguarded pop empty a bare stack
-            guard = "top_is" if action == "pop" else rng.choice(["any", "top_is", "top_not"])
+            guard = rng.choice(["any", "top_is", "top_not"])
             moves.append((
                 rng.choice("pqrs"), guard,
                 None if guard == "any" else rng.choice([1, -1, 2, -2]), action,
