@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Time the kernels on the two hot paths: the identity-reachability closure
-that powers the emptiness decider, and reduced word concatenation. Synthetic
+that powers the emptiness decider (the goal-directed `dyck_nonempty` and the
+full fixpoint `dyck_closure`), and reduced word concatenation. Synthetic
 instances mirror what the decision pipeline produces (single-letter edges
 from split coset-product machines).
 
@@ -50,15 +51,21 @@ def pipeline_like_instance(rng: random.Random, n_units: int):
 
 
 def bench_dyck(label: str, n_units: int, repeats: int) -> None:
+    """Time the goal-directed emptiness test beside the full fixpoint."""
     rng = random.Random(42)
     instances = [pipeline_like_instance(rng, n_units) for _ in range(repeats)]
 
     t0 = time.perf_counter()
     for n, edges, init, acc in instances:
         _kernel.dyck_nonempty(n, edges, init, acc)
-    elapsed = time.perf_counter() - t0
+    nonempty_s = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    for n, edges, _, _ in instances:
+        _kernel.dyck_closure(n, edges)
+    closure_s = time.perf_counter() - t0
     states = instances[0][0]
-    print(f"{label:<28} {elapsed * 1000:8.1f} ms   (~{states} states x{repeats})")
+    print(f"{label:<28} {nonempty_s * 1000:8.1f} ms nonempty {closure_s * 1000:8.1f} ms closure"
+          f"   (~{states} states x{repeats})")
 
 
 def bench_concat(label: str, word_len: int, repeats: int) -> None:

@@ -47,8 +47,15 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _closure_rows(n_states: int, edges: Sequence[tuple[int, int, int]]) -> list[int]:
-    """Rows of the closure as bitsets: bit q of row p is set iff R(p,q)."""
+def _closure_rows(
+    n_states: int, edges: Sequence[tuple[int, int, int]], initial: int = 0, targets: int = 0
+) -> list[int]:
+    """Rows of the closure as bitsets: bit q of row p is set iff R(p,q).
+
+    Every bit set along the way is a pair of R, so the worklist may stop as
+    soon as row `initial` meets the bitset `targets`; the rows are then
+    partial. With no targets, the default, it runs to the full fixpoint.
+    """
     fwd = [0] * n_states  # row p: the q with R(p,q)
     bwd = [0] * n_states  # column q: the p with R(p,q)
     in_by_dst: list[list[tuple[int, int]]] = [[] for _ in range(n_states)]  # dst -> [(letter, src)]
@@ -70,7 +77,7 @@ def _closure_rows(n_states: int, edges: Sequence[tuple[int, int, int]]) -> list[
     for p in range(n_states):
         add(p, p)
 
-    while work:
+    while work and not fwd[initial] & targets:
         p, q = work.popleft()
         for letter, u in in_by_dst[p]:
             for v in out_by.get((q, -letter), ()):
@@ -113,10 +120,13 @@ def dyck_nonempty(
     initial: int,
     accepting: Sequence[int],
 ) -> bool:
-    """True iff some accepting state is identity-reachable from the initial one."""
+    """True iff some accepting state is identity-reachable from the initial one.
+
+    The closure stops as soon as the initial row holds an accepting state.
+    """
     targets = 0
     for q in accepting:
         targets |= 1 << q
     if not targets:
         return False
-    return bool(_closure_rows(n_states, edges)[initial] & targets)
+    return bool(_closure_rows(n_states, edges, initial, targets)[initial] & targets)

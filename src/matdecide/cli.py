@@ -11,6 +11,7 @@ simulator used for witness extraction.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -289,7 +290,10 @@ def cmd_search(args) -> int:
     return 2
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> _Parser:
+    """The argument parser, built once per process: parse_args keeps no state
+    between calls, and building it costs far more than one parse."""
     parser = _Parser(prog="matdecide", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -10,7 +10,7 @@ import sys
 import pytest
 
 import matdecide
-from matdecide import deciders
+from matdecide import cli, deciders
 from matdecide.cli import main
 from matdecide.formats import format_automaton, format_matrix, format_matrix_list, parse_automaton
 from matdecide.automata import build_identity_automaton, build_membership_automaton
@@ -266,6 +266,34 @@ def test_usage_errors_exit_64(capsys):
         main(["no-such-command"])
     assert exc2.value.code == 64
     capsys.readouterr()
+
+
+def test_consecutive_calls_share_no_state(capsys, files, monkeypatch):
+    """main reuses one parser per process; no flag, option or usage error
+    may carry over from one call to the next."""
+    seen = []
+    real = cli.decide_subgroup_membership
+
+    def recording(y, gens, checked):
+        seen.append(checked)
+        return real(y, gens, checked=checked)
+
+    monkeypatch.setattr(cli, "decide_subgroup_membership", recording)
+    target = files("y.json", format_matrix(A * B))
+    gens = files("gens.json", format_matrix_list([A, B]))
+    member = ["member", "--target", target, "--gens", gens]
+    checked = run(capsys, *member, "--checked", "--format", "structured")
+    plain = run(capsys, *member)
+    assert seen == [True, False]
+    assert checked[:2] == (0, '{"answer": "yes", "command": "member", "witness": [1, 2]}\n')
+    assert plain[:2] == (0, "yes: witness 1 2 (signed generator indices, negative = inverse)\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["member", "--target", target])
+    assert exc.value.code == 64
+    capsys.readouterr()
+    assert run(capsys, *member) == plain
+    assert run(capsys, "search", "--target", target, "--gens", gens, "--group")[:2] == (0, "found: 1 2\n")
+    assert cli._build_parser() is cli._build_parser()
 
 
 @pytest.mark.parametrize("option", ["--bounded", "--max-len", "--witness-len"])

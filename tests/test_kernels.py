@@ -102,6 +102,27 @@ def test_dyck_matches_reference(n, m, seed):
     assert _kernel.dyck_nonempty(n, edges, initial, accepting) == any(q in row for q in accepting)
 
 
+def test_dyck_nonempty_stops_at_the_goal_with_pairs_still_queued(monkeypatch):
+    # 0 -a-> 1 -a'-> 2 meets the goal at the second pop, while the nested
+    # chain 3 -a-> ... -a-> 13 -a'-> ... -a'-> 23 still has pairs to derive.
+    edges = [(0, 1, 1), (1, -1, 2)]
+    edges += [(q, 1, q + 1) for q in range(3, 13)] + [(q, -1, q + 1) for q in range(13, 23)]
+    n = 24
+    rows = []
+    real = _kernel._closure_rows
+
+    def recording(*args):
+        rows.append(real(*args))
+        return rows[-1]
+
+    monkeypatch.setattr(_kernel, "_closure_rows", recording)
+    assert _kernel.dyck_nonempty(n, edges, 0, [2])
+    assert _kernel.dyck_closure(n, edges) == reference_closure(n, edges)
+    stopped, full = rows
+    assert not stopped[3] >> 23 & 1 and full[3] >> 23 & 1
+    assert [{q for q in range(n) if row >> q & 1} for row in full] == reference_closure_rows(n, edges)
+
+
 def test_dyck_matches_reference_larger_instance():
     rng = random.Random(99)
     n = 120
