@@ -1,4 +1,4 @@
-"""Bounded searches that stand in where no exact procedure applies.
+"""Bounded product and word searches.
 
 `enumerate_products` is the brute-force ground truth: a breadth-first
 enumeration whose visited set is keyed on whole exact matrices, in a

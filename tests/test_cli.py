@@ -292,7 +292,8 @@ def test_consecutive_calls_share_no_state(capsys, files, monkeypatch):
     assert exc.value.code == 64
     capsys.readouterr()
     assert run(capsys, *member) == plain
-    assert run(capsys, "search", "--target", target, "--gens", gens, "--group")[:2] == (0, "found: 1 2\n")
+    search = run(capsys, "search", "--target", target, "--gens", gens, "--group")
+    assert search[:2] == (0, "found: 1 2\n")
     assert cli._build_parser() is cli._build_parser()
 
 

@@ -120,7 +120,8 @@ def test_dyck_nonempty_stops_at_the_goal_with_pairs_still_queued(monkeypatch):
     assert _kernel.dyck_closure(n, edges) == reference_closure(n, edges)
     stopped, full = rows
     assert not stopped[3] >> 23 & 1 and full[3] >> 23 & 1
-    assert [{q for q in range(n) if row >> q & 1} for row in full] == reference_closure_rows(n, edges)
+    full_sets = [{q for q in range(n) if row >> q & 1} for row in full]
+    assert full_sets == reference_closure_rows(n, edges)
 
 
 def test_dyck_matches_reference_larger_instance():

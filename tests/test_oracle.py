@@ -95,8 +95,9 @@ def test_group_search_witness_remultiplies():
 def test_group_search_matches_breadth_first_reference():
     """Same witness as breadth-first search: shortest, then least in the
     symbol order. Pools mix torsion (S, J, -I), the parabolic T and the free
-    Sanov generators; targets are planted words of up to 10 symbols, so some
-    need more than the depth, and a few lie outside the generated group."""
+    Sanov generators. Most targets are planted words of up to 10 symbols, so
+    some need more than the depth; the rest come from a fixed list and need
+    not lie in the generated group at all."""
     rng = random.Random(5)
     pool = [S, T, J, NEG_I, A, B, A_INV, B_INV, S * T, A * B]
     outside = [T, S, J, NEG_I, B * T]
