@@ -148,8 +148,14 @@ def cmd_member(args) -> int:
             {"command": "member", "answer": "no", "reason": decision.reason},
         )
         return 1
-    unimodular = [g for g in gens if g.is_unimodular()]
-    witness = group_word_search(y, unimodular, DEFAULT_DEPTH) if unimodular else None
+    # The search sees only the unimodular generators; its letters are mapped
+    # back to positions in the input list.
+    positions = [i for i, g in enumerate(gens, start=1) if g.is_unimodular()]
+    witness = None
+    if positions:
+        found = group_word_search(y, [gens[i - 1] for i in positions], DEFAULT_DEPTH)
+        if found is not None:
+            witness = tuple(positions[abs(s) - 1] * (1 if s > 0 else -1) for s in found)
     if witness is not None:
         lines = [f"yes: witness {_witness_str(witness)} "
                  "(signed generator indices, negative = inverse)"]

@@ -75,6 +75,15 @@ def test_member_yes_with_witness(capsys, files):
     assert "witness 1 2" in out
 
 
+def test_member_witness_indexes_the_input_list(capsys, files):
+    # the singular generator takes no part in the search, but keeps its index
+    target = files("y.json", format_matrix(A * B.inverse_unimodular()))
+    gens = files("gens.json", format_matrix_list([IntMatrix([[2, 0], [0, 1]]), A, B]))
+    code, out, _ = run(capsys, "member", "--target", target, "--gens", gens,
+                       "--format", "structured")
+    assert (code, json.loads(out)["witness"]) == (0, [2, -3])
+
+
 def test_member_no(capsys, files):
     target = files("y.json", format_matrix(B))
     gens = files("gens.json", format_matrix_list([A]))
