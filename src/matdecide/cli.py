@@ -3,9 +3,9 @@
 Exit codes: 0 = yes / witness found, 1 = no, 2 = unknown (bounded search
 exhausted, or no decision procedure for the dimension), 64 = usage error,
 65 = malformed input file, 70 = internal error (a bug, such as the two
-emptiness engines disagreeing). The same inputs always produce byte-identical
-output. MATDECIDE_REGISTER_CAP overrides the register caps of the bounded
-simulator used for witness extraction.
+emptiness engines disagreeing), 73 = cannot create the output file. The same
+inputs always produce byte-identical output. MATDECIDE_REGISTER_CAP overrides
+the register caps of the bounded simulator used for witness extraction.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from matdecide.sanov import default_coset_table, factor_in_sanov
 EX_USAGE = 64
 EX_DATAERR = 65
 EX_SOFTWARE = 70
+EX_CANTCREAT = 73
 
 
 class _Parser(argparse.ArgumentParser):
@@ -151,13 +152,13 @@ def cmd_member(args) -> int:
     # The search sees only the unimodular generators; its letters are mapped
     # back to positions in the input list.
     positions = [i for i, g in enumerate(gens, start=1) if g.is_unimodular()]
-    witness = None
+    witness = () if y.is_identity() else None  # also with no unimodular generator
     if positions:
         found = group_word_search(y, [gens[i - 1] for i in positions], DEFAULT_DEPTH)
         if found is not None:
             witness = tuple(positions[abs(s) - 1] * (1 if s > 0 else -1) for s in found)
     if witness is not None:
-        lines = [f"yes: witness {_witness_str(witness)} "
+        lines = [f"yes: witness {_witness_str(witness) or '(empty product)'} "
                  "(signed generator indices, negative = inverse)"]
     else:
         lines = ["yes (no witness found within the search depth)"]
@@ -265,8 +266,12 @@ def cmd_convert(args) -> int:
         v = to_free_group_automaton(prune_noninvertible(v), default_coset_table())
     out = format_automaton(v)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(out)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(out)
+        except OSError as exc:
+            print(f"matdecide: {args.output}: {exc.strerror or exc}", file=sys.stderr)
+            return EX_CANTCREAT
     else:
         sys.stdout.write(out)
     return 0

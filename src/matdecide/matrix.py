@@ -2,12 +2,39 @@
 
 Entries are Python ints, so products along arbitrarily long paths stay exact;
 no floating point is used anywhere. Matrices are immutable and hashable, which
-lets BFS searches and coset tables key on them directly.
+lets BFS searches and coset tables key on them directly. The constructor
+validates its input; arithmetic on valid matrices skips that second pass.
 """
 
 from __future__ import annotations
 
+from operator import mul
 from typing import Iterable, Sequence
+
+
+def _det(rows: Sequence[Sequence[int]]) -> int:
+    """Exact determinant of a square list of rows by fraction-free (Bareiss)
+    elimination; the empty matrix has determinant 1."""
+    n = len(rows)
+    if n == 0:
+        return 1
+    a = [list(row) for row in rows]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            pivot = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if pivot is None:
+                return 0
+            a[k], a[pivot] = a[pivot], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                # Division is exact by the Sylvester identity.
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
 
 
 class IntMatrix:
@@ -23,9 +50,18 @@ class IntMatrix:
         for row in entries:
             if len(row) != n:
                 raise ValueError(f"matrix must be square, got row of length {len(row)} in {n}x{n}")
-        object.__setattr__(self, "n", n)
+        self._set(entries)
+
+    def _set(self, entries: tuple[tuple[int, ...], ...]) -> "IntMatrix":
+        object.__setattr__(self, "n", len(entries))
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "_hash", hash(entries))
+        return self
+
+    @classmethod
+    def _from_entries(cls, entries: tuple[tuple[int, ...], ...]) -> "IntMatrix":
+        """Wrap a nonempty square tuple of int tuples without checking it."""
+        return cls.__new__(cls)._set(entries)
 
     def __setattr__(self, name, value):
         raise AttributeError("IntMatrix is immutable")
@@ -34,7 +70,9 @@ class IntMatrix:
     def identity(cls, n: int) -> "IntMatrix":
         if n < 1:
             raise ValueError("dimension must be >= 1")
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls._from_entries(
+            tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+        )
 
     def __getitem__(self, ij: tuple[int, int]) -> int:
         i, j = ij
@@ -45,9 +83,9 @@ class IntMatrix:
             return NotImplemented
         if self.n != other.n:
             raise ValueError(f"dimension mismatch: {self.n}x{self.n} times {other.n}x{other.n}")
-        a, b, n = self.entries, other.entries, self.n
-        return IntMatrix(
-            [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+        cols = tuple(zip(*other.entries))
+        return IntMatrix._from_entries(
+            tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in self.entries)
         )
 
     def __eq__(self, other) -> bool:
@@ -62,50 +100,25 @@ class IntMatrix:
 
     def det(self) -> int:
         """Exact determinant by fraction-free (Bareiss) elimination."""
-        n = self.n
-        a = [list(row) for row in self.entries]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                pivot = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-                if pivot is None:
-                    return 0
-                a[k], a[pivot] = a[pivot], a[k]
-                sign = -sign
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    # Division is exact by the Sylvester identity.
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-                a[i][k] = 0
-            prev = a[k][k]
-        return sign * a[n - 1][n - 1]
+        return _det(self.entries)
 
     def is_unimodular(self) -> bool:
         return self.det() in (1, -1)
-
-    def _minor_det(self, drop_i: int, drop_j: int) -> int:
-        if self.n == 1:
-            return 1
-        rows = [
-            [self.entries[i][j] for j in range(self.n) if j != drop_j]
-            for i in range(self.n)
-            if i != drop_i
-        ]
-        return IntMatrix(rows).det()
 
     def inverse_unimodular(self) -> "IntMatrix":
         """Exact integer inverse; requires determinant +1 or -1."""
         d = self.det()
         if d not in (1, -1):
             raise ValueError("not invertible over the integers")
-        n = self.n
+        e, n = self.entries, self.n
+
+        def minor(drop_i: int, drop_j: int) -> int:
+            return _det([row[:drop_j] + row[drop_j + 1:] for i, row in enumerate(e) if i != drop_i])
+
         # adjugate / det, with det = +-1 so division is multiplication by det
-        adj = [
-            [(-1) ** (i + j) * self._minor_det(j, i) * d for j in range(n)]
-            for i in range(n)
-        ]
-        return IntMatrix(adj)
+        return IntMatrix._from_entries(
+            tuple(tuple((-1) ** (i + j) * minor(j, i) * d for j in range(n)) for i in range(n))
+        )
 
     def max_abs_entry(self) -> int:
         return max(abs(x) for row in self.entries for x in row)
@@ -116,23 +129,3 @@ class IntMatrix:
             for i in range(self.n)
             for j in range(self.n)
         )
-
-
-def multiply(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    return a * b
-
-
-def determinant(m: IntMatrix) -> int:
-    return m.det()
-
-
-def inverse_unimodular(m: IntMatrix) -> IntMatrix:
-    return m.inverse_unimodular()
-
-
-def identity(n: int) -> IntMatrix:
-    return IntMatrix.identity(n)
-
-
-def is_unimodular(m: IntMatrix) -> bool:
-    return m.is_unimodular()

@@ -104,16 +104,13 @@ class CosetTable:
 
     reps: tuple[IntMatrix, ...]
     gl2_generators: tuple[IntMatrix, ...]
-    rep_invs: tuple[IntMatrix, ...] = field(repr=False, default=())
+    rep_invs: tuple[IntMatrix, ...] = field(init=False, repr=False, compare=False)
     residues: Mapping[tuple[int, int, int, int], int] = field(
         init=False, repr=False, compare=False
     )
 
     def __post_init__(self):
-        if not self.rep_invs:
-            object.__setattr__(
-                self, "rep_invs", tuple(r.inverse_unimodular() for r in self.reps)
-            )
+        object.__setattr__(self, "rep_invs", tuple(r.inverse_unimodular() for r in self.reps))
         residues: dict[tuple[int, int, int, int], int] = {}
         for c, r in enumerate(self.reps):
             _claim_coset(residues, c, r)

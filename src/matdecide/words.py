@@ -27,9 +27,13 @@ class FreeWord:
         for x in reduced:
             if x == 0 or abs(x) > rank:
                 raise ValueError(f"letter {x} out of range for rank {rank}")
+        self._set(reduced, rank)
+
+    def _set(self, letters: tuple[int, ...], rank: int) -> "FreeWord":
         object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "letters", reduced)
-        object.__setattr__(self, "_hash", hash((rank, reduced)))
+        object.__setattr__(self, "letters", letters)
+        object.__setattr__(self, "_hash", hash((rank, letters)))
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("FreeWord is immutable")
@@ -41,12 +45,8 @@ class FreeWord:
     def concat(self, other: "FreeWord") -> "FreeWord":
         if self.rank != other.rank:
             raise ValueError(f"rank mismatch: {self.rank} vs {other.rank}")
-        w = FreeWord.__new__(FreeWord)
         reduced = _kernel.concat_reduce_letters(self.letters, other.letters)
-        object.__setattr__(w, "rank", self.rank)
-        object.__setattr__(w, "letters", reduced)
-        object.__setattr__(w, "_hash", hash((self.rank, reduced)))
-        return w
+        return FreeWord.__new__(FreeWord)._set(reduced, self.rank)
 
     def __mul__(self, other: "FreeWord") -> "FreeWord":
         if not isinstance(other, FreeWord):
@@ -54,7 +54,9 @@ class FreeWord:
         return self.concat(other)
 
     def inverse(self) -> "FreeWord":
-        return FreeWord((-x for x in reversed(self.letters)), self.rank)
+        # The inverse of a reduced word is reduced and in range: no re-check.
+        letters = tuple(-x for x in reversed(self.letters))
+        return FreeWord.__new__(FreeWord)._set(letters, self.rank)
 
     def is_identity(self) -> bool:
         return not self.letters

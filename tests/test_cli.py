@@ -1,6 +1,7 @@
 """End-to-end CLI checks, including the exit-code contract: 0 yes/witness,
-1 no, 2 unknown, 64 usage, 65 malformed input, 70 internal error. Dimensions
-other than 2 must never produce a definitive no."""
+1 no, 2 unknown, 64 usage, 65 malformed input, 70 internal error, 73 cannot
+create the output file. Dimensions other than 2 must never produce a
+definitive no."""
 
 import json
 import os
@@ -82,6 +83,22 @@ def test_member_witness_indexes_the_input_list(capsys, files):
     code, out, _ = run(capsys, "member", "--target", target, "--gens", gens,
                        "--format", "structured")
     assert (code, json.loads(out)["witness"]) == (0, [2, -3])
+
+
+def test_member_identity_target_prints_the_empty_witness(capsys, files):
+    target = files("y.json", format_matrix(IntMatrix.identity(2)))
+    for gens_list in ([IntMatrix([[2, 0], [0, 1]])], [IntMatrix([[2, 0], [0, 1]]), A]):
+        gens = files("gens.json", format_matrix_list(gens_list))
+        member = ["member", "--target", target, "--gens", gens]
+        assert run(capsys, *member) == (
+            0,
+            "yes: witness (empty product) (signed generator indices, negative = inverse)\n",
+            "",
+        )
+        code, out, _ = run(capsys, *member, "--format", "structured")
+        assert (code, json.loads(out)) == (
+            0, {"command": "member", "answer": "yes", "witness": []}
+        )
 
 
 def test_member_no(capsys, files):
@@ -228,6 +245,14 @@ def test_convert_roundtrips_and_converts(capsys, files, tmp_path):
     code2, out2, _ = run(capsys, "convert", out_path)
     assert code2 == 0
     assert parse_automaton(out2) == image
+
+
+def test_convert_to_an_unwritable_path_exits_73(capsys, files, tmp_path):
+    path = files("aut.json", format_automaton(build_membership_automaton(A, [B])))
+    code, out, err = run(capsys, "convert", path, "-o", str(tmp_path / "missing" / "out.json"))
+    assert (code, out) == (73, "")
+    assert err.count("\n") == 1
+    assert err.startswith("matdecide: ") and "internal error" not in err
 
 
 def test_convert_4x4_unsupported(capsys, files):

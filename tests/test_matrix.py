@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matdecide.matrix import IntMatrix, determinant, identity, inverse_unimodular, multiply
+from matdecide.matrix import IntMatrix
 
 from conftest import GL2_POOL, I2, naive_mul, perm_det
 
@@ -32,14 +32,14 @@ def test_product_examples():
 
 def test_dimension_mismatch():
     with pytest.raises(ValueError):
-        multiply(I2, IntMatrix.identity(3))
+        I2 * IntMatrix.identity(3)
 
 
 def test_determinant_examples():
-    assert determinant(IntMatrix.identity(4)) == 1
-    assert determinant(IntMatrix([[1, 2], [0, 1]])) == 1
-    assert determinant(IntMatrix([[2, 0], [0, 1]])) == 2
-    assert determinant(IntMatrix([[1]])) == 1
+    assert IntMatrix.identity(4).det() == 1
+    assert IntMatrix([[1, 2], [0, 1]]).det() == 1
+    assert IntMatrix([[2, 0], [0, 1]]).det() == 2
+    assert IntMatrix([[1]]).det() == 1
 
 
 def test_is_unimodular():
@@ -49,22 +49,22 @@ def test_is_unimodular():
 
 
 def test_inverse_examples():
-    assert inverse_unimodular(I2) == I2
-    inv = inverse_unimodular(IntMatrix([[1, 2], [0, 1]]))
+    assert I2.inverse_unimodular() == I2
+    inv = IntMatrix([[1, 2], [0, 1]]).inverse_unimodular()
     assert inv == IntMatrix([[1, -2], [0, 1]])
     assert IntMatrix([[1, 2], [0, 1]]) * inv == I2
     with pytest.raises(ValueError, match="not invertible over the integers"):
-        inverse_unimodular(IntMatrix([[2, 0], [0, 1]]))
+        IntMatrix([[2, 0], [0, 1]]).inverse_unimodular()
 
 
 def test_identity_builder():
-    assert identity(2) == IntMatrix([[1, 0], [0, 1]])
-    assert identity(1) == IntMatrix([[1]])
-    assert identity(4).entries == tuple(
+    assert IntMatrix.identity(2) == IntMatrix([[1, 0], [0, 1]])
+    assert IntMatrix.identity(1) == IntMatrix([[1]])
+    assert IntMatrix.identity(4).entries == tuple(
         tuple(1 if i == j else 0 for j in range(4)) for i in range(4)
     )
     with pytest.raises(ValueError):
-        identity(0)
+        IntMatrix.identity(0)
 
 
 def test_immutability_and_hashing():
@@ -134,3 +134,64 @@ def test_inverse_of_4x4_unimodular():
     )
     assert m.det() == 1
     assert m * m.inverse_unimodular() == IntMatrix.identity(4)
+
+
+def _assert_like_validated(m: IntMatrix) -> None:
+    """m, built by arithmetic, cannot be told apart from the same entries
+    passed through the validating constructor."""
+    fresh = IntMatrix(m.entries)
+    assert m == fresh and fresh == m
+    assert hash(m) == hash(fresh)
+    assert m.n == fresh.n == len(m.entries)
+    assert type(m.entries) is tuple
+    assert all(type(row) is tuple and all(type(x) is int for x in row) for row in m.entries)
+    assert {fresh: "v"}[m] == "v"
+    assert {m: "v"}[fresh] == "v"
+
+
+def _random_unimodular(rng: random.Random, n: int) -> IntMatrix:
+    """Random row operations, sign flips and a row shuffle applied to I."""
+    rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    for _ in range(3 * n):
+        if n > 1:
+            i, j = rng.sample(range(n), 2)
+            k = rng.randint(-3, 3)
+            rows[i] = [x + k * y for x, y in zip(rows[i], rows[j])]
+        if rng.random() < 0.3:
+            i = rng.randrange(n)
+            rows[i] = [-x for x in rows[i]]
+    rng.shuffle(rows)
+    return IntMatrix(rows)
+
+
+def _zero_pivot_unimodular(rng: random.Random, n: int) -> IntMatrix:
+    """P * U with U upper unitriangular and P the cyclic row shift: the
+    leading entry is 0 for n >= 2, so elimination must swap rows."""
+    upper = [[0] * i + [1] + [rng.randint(-4, 4) for _ in range(n - i - 1)] for i in range(n)]
+    return IntMatrix(upper[1:] + upper[:1])
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_computed_matrices_match_validated_ones(n):
+    rng = random.Random(1000 + n)
+    ident = IntMatrix.identity(n)
+    _assert_like_validated(ident)
+    assert ident == IntMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+    for _ in range(15):
+        a, b = _random_unimodular(rng, n), _zero_pivot_unimodular(rng, n)
+        if n >= 2:
+            assert b[0, 0] == 0
+        for m in (a, b):
+            inv = m.inverse_unimodular()
+            _assert_like_validated(inv)
+            assert m * inv == ident
+            assert inv * m == ident
+            assert m.det() == perm_det(m) in (1, -1)
+        for prod in (a * b, b * a, a * a):
+            _assert_like_validated(prod)
+            assert prod.det() == perm_det(prod)
+        assert a * b == naive_mul(a, b)
+        rows = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+        rows[0][0] = 0
+        m = IntMatrix(rows)
+        assert m.det() == perm_det(m)

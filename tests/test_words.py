@@ -92,3 +92,25 @@ def test_immutability_and_hashing():
     with pytest.raises(AttributeError):
         u.letters = ()
     assert len({u, w("a b"), w("b a")}) == 2
+
+
+@st.composite
+def word_pairs(draw):
+    rank = draw(st.integers(1, 3))
+    alphabet = [x for i in range(1, rank + 1) for x in (i, -i)]
+    u, v = (FreeWord(draw(st.lists(st.sampled_from(alphabet), max_size=20)), rank)
+            for _ in range(2))
+    return u, v
+
+
+@given(word_pairs())
+def test_computed_words_match_validated_ones(pair):
+    u, v = pair
+    for result in (u.concat(v), u * v, u.inverse(), v.inverse()):
+        fresh = FreeWord(result.letters, result.rank)
+        assert result == fresh and fresh == result
+        assert hash(result) == hash(fresh)
+        assert type(result.letters) is tuple
+        assert all(type(x) is int for x in result.letters)
+        assert {fresh: "v"}[result] == "v"
+        assert {result: "v"}[fresh] == "v"
