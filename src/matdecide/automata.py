@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
-from matdecide.matrix import IntMatrix
+from matdecide.matrix import IntMatrix, _generator_dim
 from matdecide.sanov import CosetTable, schreier_rewrite
 from matdecide.words import FreeWord
 
@@ -79,6 +79,9 @@ class ValenceAutomaton:
     def __setattr__(self, name, value):
         raise AttributeError("ValenceAutomaton is immutable")
 
+    def __reduce__(self):  # __slots__ lists the constructor's parameters in order
+        return (ValenceAutomaton, tuple(getattr(self, name) for name in self.__slots__))
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, ValenceAutomaton):
             return NotImplemented
@@ -132,47 +135,30 @@ DEFAULT_WORD_CAP = 64  # word length
 DEFAULT_CONFIG_BUDGET = 200_000  # explored configurations before giving up
 
 
-def _dims_check(matrices: Sequence[IntMatrix]) -> int:
-    dims = {m.n for m in matrices}
-    if len(dims) != 1:
-        raise ValueError(f"matrices of mixed dimensions: {sorted(dims)}")
-    return dims.pop()
+def _unary_machine(
+    states: Sequence[str], n: int, edges: list[Edge], accepting: Sequence[str]
+) -> ValenceAutomaton:
+    """The paper's machines read the one letter a, start in q1 and carry n x n
+    matrix labels."""
+    return ValenceAutomaton(states, ("a",), MatrixLabels(n), edges, "q1", accepting)
 
 
 def build_membership_automaton(g: IntMatrix, gens: Sequence[IntMatrix]) -> ValenceAutomaton:
     """Two-state machine whose language is nonempty iff some product
     g * gens[i1] * ... * gens[ik] equals the identity."""
-    if not gens:
-        raise ValueError("generator list must be nonempty")
-    n = _dims_check([g, *gens])
+    n = _generator_dim(gens, g)
     edges = [Edge("q1", "a", g, "q2")]
     edges += [Edge("q2", "a", h, "q2") for h in gens]
-    return ValenceAutomaton(
-        states=("q1", "q2"),
-        alphabet=("a",),
-        label_domain=MatrixLabels(n),
-        edges=edges,
-        initial="q1",
-        accepting=("q2",),
-    )
+    return _unary_machine(("q1", "q2"), n, edges, ("q2",))
 
 
 def build_identity_automaton(gens: Sequence[IntMatrix]) -> ValenceAutomaton:
     """Two-state machine accepting a^k iff some product of k >= 1 generators
     equals the identity; the empty product is excluded by construction."""
-    if not gens:
-        raise ValueError("generator list must be nonempty")
-    n = _dims_check(gens)
+    n = _generator_dim(gens)
     edges = [Edge("q1", "a", s, "q2") for s in gens]
     edges += [Edge("q2", "a", s, "q2") for s in gens]
-    return ValenceAutomaton(
-        states=("q1", "q2"),
-        alphabet=("a",),
-        label_domain=MatrixLabels(n),
-        edges=edges,
-        initial="q1",
-        accepting=("q2",),
-    )
+    return _unary_machine(("q1", "q2"), n, edges, ("q2",))
 
 
 def build_membership_universe_automaton(
@@ -180,41 +166,23 @@ def build_membership_universe_automaton(
 ) -> ValenceAutomaton:
     """Universe-problem variant of the membership machine: both states accept
     and the generator loops also run on epsilon."""
-    if not gens:
-        raise ValueError("generator list must be nonempty")
-    n = _dims_check([g, *gens])
+    n = _generator_dim(gens, g)
     edges = [Edge("q1", "a", g, "q2")]
     for h in gens:
         edges.append(Edge("q2", "a", h, "q2"))
         edges.append(Edge("q2", None, h, "q2"))
-    return ValenceAutomaton(
-        states=("q1", "q2"),
-        alphabet=("a",),
-        label_domain=MatrixLabels(n),
-        edges=edges,
-        initial="q1",
-        accepting=("q1", "q2"),
-    )
+    return _unary_machine(("q1", "q2"), n, edges, ("q1", "q2"))
 
 
 def build_identity_universe_automaton(gens: Sequence[IntMatrix]) -> ValenceAutomaton:
     """Universe-problem variant of the identity machine: one state, loops on
     both the input symbol and epsilon."""
-    if not gens:
-        raise ValueError("generator list must be nonempty")
-    n = _dims_check(gens)
+    n = _generator_dim(gens)
     edges = []
     for s in gens:
         edges.append(Edge("q1", "a", s, "q1"))
         edges.append(Edge("q1", None, s, "q1"))
-    return ValenceAutomaton(
-        states=("q1",),
-        alphabet=("a",),
-        label_domain=MatrixLabels(n),
-        edges=edges,
-        initial="q1",
-        accepting=("q1",),
-    )
+    return _unary_machine(("q1",), n, edges, ("q1",))
 
 
 def prune_noninvertible(v: ValenceAutomaton) -> ValenceAutomaton:

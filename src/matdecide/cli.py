@@ -15,7 +15,7 @@ import functools
 import json
 import os
 import sys
-from typing import Any, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from matdecide.automata import (
     MatrixLabels,
@@ -24,6 +24,7 @@ from matdecide.automata import (
     to_free_group_automaton,
 )
 from matdecide.deciders import (
+    Decision,
     automaton_nonempty,
     decide_identity_in_semigroup,
     decide_subgroup_membership,
@@ -38,6 +39,7 @@ from matdecide.formats import (
     parse_matrix,
     parse_matrix_list,
 )
+from matdecide.matrix import IntMatrix
 from matdecide.oracle import DEFAULT_DEPTH, group_word_search
 from matdecide.sanov import default_coset_table, factor_in_sanov
 
@@ -83,7 +85,7 @@ def _read(path: str) -> str:
 
 def _emit(args, text_lines: list[str], structured: dict[str, Any]) -> None:
     if args.format == "structured":
-        print(json.dumps(structured, sort_keys=True))
+        print(json.dumps({"command": args.command, **structured}, sort_keys=True))
     else:
         for line in text_lines:
             print(line)
@@ -98,25 +100,64 @@ def cmd_factor(args) -> int:
         raise FormatError(f"factor: expected a 2x2 matrix, got {m.n}x{m.n}")
     word = factor_in_sanov(m)
     if word is None:
-        _emit(args, ["not a member"], {"command": "factor", "member": False})
+        _emit(args, ["not a member"], {"member": False})
         return 1
-    _emit(args, [word.to_text()], {"command": "factor", "member": True, "word": word.to_text()})
+    _emit(args, [word.to_text()], {"member": True, "word": word.to_text()})
     return 0
 
 
 def cmd_cosets(args) -> int:
     table = default_coset_table()
     lines = [format_matrix(rep) for rep in table.reps]
-    _emit(
-        args,
-        lines,
-        {"command": "cosets", "size": table.size, "representatives": [json.loads(s) for s in lines]},
-    )
+    _emit(args, lines, {"size": table.size, "representatives": [json.loads(s) for s in lines]})
     return 0
 
 
 def _witness_str(seq: Sequence[int]) -> str:
-    return " ".join(str(i) for i in seq)
+    return " ".join(str(i) for i in seq) or "(empty product)"
+
+
+def _bounded_report(args, witness: Optional[Sequence[int]], bound: int, miss: str) -> int:
+    """Report a bounded product search: a witness, or unknown at the bound,
+    where miss says what no product of length <= bound did."""
+    if witness is not None:
+        _emit(args, [f"yes: witness {_witness_str(witness)}"],
+              {"answer": "yes", "witness": list(witness), "bound": bound})
+        return 0
+    _emit(args, [f"unknown: no product of length <= {bound} {miss} "
+                 "(absence at the bound proves nothing)"],
+          {"answer": "unknown", "witness": None, "bound": bound})
+    return 2
+
+
+def _decision_report(
+    args, decision: Decision, witness: Optional[Sequence[int]], suffix: str = ""
+) -> int:
+    """Report an exact decision: no with its reason, or yes with the witness
+    (text followed by suffix) or the line saying the search found none."""
+    if not decision.answer:
+        _emit(args, [f"no: {decision.reason}"], {"answer": "no", "reason": decision.reason})
+        return 1
+    if witness is None:
+        _emit(args, ["yes (no witness found within the search depth)"],
+              {"answer": "yes", "witness": None})
+    else:
+        _emit(args, [f"yes: witness {_witness_str(witness)}{suffix}"],
+              {"answer": "yes", "witness": list(witness)})
+    return 0
+
+
+def _unimodular_witness(
+    gens: Sequence[IntMatrix], search: Callable[[list[IntMatrix]], Optional[tuple[int, ...]]]
+) -> Optional[tuple[int, ...]]:
+    """Run search on the unimodular generators only and map its signed letters
+    back to positions in gens; None when there are none or nothing is found.
+    A product with a singular factor is singular, so it is never a witness."""
+    positions = [i for i, g in enumerate(gens, start=1) if g.is_unimodular()]
+    found = search([gens[i - 1] for i in positions]) if positions else None
+    if found is None:
+        return None
+    return tuple(positions[abs(s) - 1] * (1 if s > 0 else -1) for s in found)
 
 
 def cmd_member(args) -> int:
@@ -126,130 +167,55 @@ def cmd_member(args) -> int:
         raise FormatError("member: generator list is empty")
     if args.bounded is not None or y.n != 2:
         bound = args.bounded if args.bounded is not None else DEFAULT_DEPTH
-        witness = membership_bounded(y, gens, bound)
-        if witness is not None:
-            _emit(
-                args,
-                [f"yes: witness {_witness_str(witness)}"],
-                {"command": "member", "answer": "yes", "witness": list(witness), "bound": bound},
-            )
-            return 0
-        _emit(
-            args,
-            [f"unknown: no product of length <= {bound} matches "
-             "(absence at the bound proves nothing)"],
-            {"command": "member", "answer": "unknown", "witness": None, "bound": bound},
-        )
-        return 2
+        return _bounded_report(args, membership_bounded(y, gens, bound), bound, "matches")
     decision = decide_subgroup_membership(y, gens, checked=args.checked)
-    if not decision.answer:
-        _emit(
-            args,
-            [f"no: {decision.reason}"],
-            {"command": "member", "answer": "no", "reason": decision.reason},
-        )
-        return 1
-    # The search sees only the unimodular generators; its letters are mapped
-    # back to positions in the input list.
-    positions = [i for i, g in enumerate(gens, start=1) if g.is_unimodular()]
-    witness = () if y.is_identity() else None  # also with no unimodular generator
-    if positions:
-        found = group_word_search(y, [gens[i - 1] for i in positions], DEFAULT_DEPTH)
-        if found is not None:
-            witness = tuple(positions[abs(s) - 1] * (1 if s > 0 else -1) for s in found)
-    if witness is not None:
-        lines = [f"yes: witness {_witness_str(witness) or '(empty product)'} "
-                 "(signed generator indices, negative = inverse)"]
-    else:
-        lines = ["yes (no witness found within the search depth)"]
-    _emit(
-        args,
-        lines,
-        {
-            "command": "member",
-            "answer": "yes",
-            "witness": list(witness) if witness is not None else None,
-        },
-    )
-    return 0
+    witness = None
+    if decision.answer:  # I is the empty product, also with no unimodular generator
+        witness = () if y.is_identity() else _unimodular_witness(
+            gens, lambda us: group_word_search(y, us, DEFAULT_DEPTH))
+    return _decision_report(args, decision, witness,
+                            " (signed generator indices, negative = inverse)")
 
 
 def cmd_identity(args) -> int:
     gens = parse_matrix_list(_read(args.gens))
     if not gens:
         raise FormatError("identity: generator list is empty")
-    n = gens[0].n
-    if args.bounded is not None or n != 2:
+    if args.bounded is not None or gens[0].n != 2:
         bound = args.bounded if args.bounded is not None else DEFAULT_DEPTH
         witness = identity_in_semigroup_bounded(gens, bound)
-        if witness is not None:
-            _emit(
-                args,
-                [f"yes: witness {_witness_str(witness)}"],
-                {"command": "identity", "answer": "yes", "witness": list(witness), "bound": bound},
-            )
-            return 0
-        _emit(
-            args,
-            [f"unknown: no product of length <= {bound} equals the identity "
-             "(absence at the bound proves nothing)"],
-            {"command": "identity", "answer": "unknown", "witness": None, "bound": bound},
-        )
-        return 2
+        return _bounded_report(args, witness, bound, "equals the identity")
     decision = decide_identity_in_semigroup(gens, checked=args.checked)
-    if not decision.answer:
-        _emit(
-            args,
-            [f"no: {decision.reason}"],
-            {"command": "identity", "answer": "no", "reason": decision.reason},
-        )
-        return 1
-    witness = identity_in_semigroup_bounded(gens, DEFAULT_DEPTH)
-    if witness is not None:
-        lines = [f"yes: witness {_witness_str(witness)}"]
-    else:
-        lines = ["yes (no witness found within the search depth)"]
-    _emit(
-        args,
-        lines,
-        {
-            "command": "identity",
-            "answer": "yes",
-            "witness": list(witness) if witness is not None else None,
-        },
-    )
-    return 0
+    witness = None
+    if decision.answer:
+        witness = _unimodular_witness(
+            gens, lambda us: identity_in_semigroup_bounded(us, DEFAULT_DEPTH))
+    return _decision_report(args, decision, witness)
 
 
 def cmd_empty(args) -> int:
     v = parse_automaton(_read(args.automaton))
     cap = _register_cap()
-    if isinstance(v.label_domain, MatrixLabels) and v.label_domain.dim != 2:
-        witness = shortest_accepted_string(v, max_len=args.witness_len, register_cap=cap)
-        if witness is not None:
-            _emit(
-                args,
-                [f"NONEMPTY: witness {witness!r}"],
-                {"command": "empty", "answer": "nonempty", "witness": witness},
-            )
-            return 0
-        _emit(
-            args,
-            [f"UNKNOWN: no exact emptiness procedure for {v.label_domain.dim}x"
-             f"{v.label_domain.dim} labels and bounded search found no witness"],
-            {"command": "empty", "answer": "unknown", "witness": None},
-        )
-        return 2
-    if not automaton_nonempty(v, checked=args.checked):
-        _emit(args, ["EMPTY"], {"command": "empty", "answer": "empty", "witness": None})
-        return 1
-    searchable = prune_noninvertible(v) if isinstance(v.label_domain, MatrixLabels) else v
-    witness = shortest_accepted_string(searchable, max_len=args.witness_len, register_cap=cap)
+    matrix_labels = isinstance(v.label_domain, MatrixLabels)
+    exact = not matrix_labels or v.label_domain.dim == 2
+    if exact:
+        if not automaton_nonempty(v, checked=args.checked):
+            _emit(args, ["EMPTY"], {"answer": "empty", "witness": None})
+            return 1
+        if matrix_labels:
+            v = prune_noninvertible(v)
+    witness = shortest_accepted_string(v, max_len=args.witness_len, register_cap=cap)
     if witness is not None:
         lines = [f"NONEMPTY: witness {witness!r}"]
-    else:
+    elif exact:
         lines = ["NONEMPTY (no witness found within the search bounds)"]
-    _emit(args, lines, {"command": "empty", "answer": "nonempty", "witness": witness})
+    else:
+        dim = v.label_domain.dim
+        _emit(args, [f"UNKNOWN: no exact emptiness procedure for {dim}x{dim} labels "
+                     "and bounded search found no witness"],
+              {"answer": "unknown", "witness": None})
+        return 2
+    _emit(args, lines, {"answer": "nonempty", "witness": witness})
     return 0
 
 
@@ -287,17 +253,11 @@ def cmd_search(args) -> int:
     else:
         witness = membership_bounded(y, gens, args.max_len)
     if witness is not None:
-        _emit(
-            args,
-            [f"found: {_witness_str(witness) or '(empty product)'}"],
-            {"command": "search", "answer": "found", "witness": list(witness)},
-        )
+        _emit(args, [f"found: {_witness_str(witness)}"],
+              {"answer": "found", "witness": list(witness)})
         return 0
-    _emit(
-        args,
-        [f"not found within length {args.max_len}"],
-        {"command": "search", "answer": "not-found", "witness": None},
-    )
+    _emit(args, [f"not found within length {args.max_len}"],
+          {"answer": "not-found", "witness": None})
     return 2
 
 

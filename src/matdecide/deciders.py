@@ -21,7 +21,7 @@ from matdecide.automata import (
     prune_noninvertible,
     to_free_group_automaton,
 )
-from matdecide.matrix import IntMatrix
+from matdecide.matrix import IntMatrix, _generator_dim
 from matdecide.oracle import enumerate_products
 from matdecide.pda import free_automaton_emptiness, from_free_automaton, pda_emptiness
 from matdecide.sanov import default_coset_table
@@ -103,9 +103,8 @@ def decide_identity_in_semigroup(
     generators cannot occur in such a product (determinants multiply to 1, so
     every factor has determinant +-1) and are dropped.
     """
-    if not gens:
-        raise ValueError("generator list must be nonempty")
-    _require_2x2(gens)
+    _require_2x2(gens)  # first, so that a stray 3x3 is named as such
+    _generator_dim(gens)
     invertible = [g for g in gens if g.is_unimodular()]
     if not invertible:
         return Decision(False, "no unimodular generators; no product can reach determinant 1")
@@ -127,11 +126,7 @@ def membership_bounded(
     lexicographically least among the shortest, or None when the bound is
     exhausted. None is not a proof of non-membership.
     """
-    if not gens:
-        raise ValueError("generator list must be nonempty")
-    dims = {m.n for m in [y, *gens]}
-    if len(dims) != 1:
-        raise ValueError(f"matrices of mixed dimensions: {sorted(dims)}")
+    _generator_dim(gens, y)
     for prod, witness in enumerate_products(gens, max_len):
         if prod == y:
             return witness
@@ -142,7 +137,4 @@ def identity_in_semigroup_bounded(
     gens: Sequence[IntMatrix], max_len: int
 ) -> Optional[tuple[int, ...]]:
     """Bounded witness search for the identity problem in any dimension."""
-    if not gens:
-        raise ValueError("generator list must be nonempty")
-    n = gens[0].n
-    return membership_bounded(IntMatrix.identity(n), gens, max_len)
+    return membership_bounded(IntMatrix.identity(_generator_dim(gens)), gens, max_len)

@@ -1,11 +1,18 @@
 """Structured text forms: matrices as nested arrays of decimal strings (exact
 at any magnitude), words in generator-name notation, and automata as a JSON
 document. parse(print(x)) == x for every format.
+
+An integer in an input document may have at most sys.get_int_max_str_digits()
+digits (4300 by default): Python parses decimal text in quadratic time, and
+the limit keeps outside input from stalling the parser. A longer entry is a
+FormatError, which names the field when the entry is a decimal string.
+Arithmetic on parsed values has no such limit.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from typing import Any
 
 from matdecide.automata import (
@@ -24,6 +31,10 @@ class FormatError(ValueError):
     JSON parser's line/column."""
 
 
+def _digit_limit() -> str:
+    return f"the limit of {sys.get_int_max_str_digits()} digits per integer"
+
+
 def _int_from(obj: Any, where: str) -> int:
     if isinstance(obj, bool):
         raise FormatError(f"{where}: expected an integer, got a boolean")
@@ -32,7 +43,10 @@ def _int_from(obj: Any, where: str) -> int:
     if isinstance(obj, str):
         body = obj[1:] if obj.startswith("-") else obj
         if body.isascii() and body.isdigit():
-            return int(obj)
+            try:
+                return int(obj)
+            except ValueError:  # more digits than the interpreter parses
+                raise FormatError(f"{where}: {len(body)} digits, over {_digit_limit()}") from None
     raise FormatError(f"{where}: expected a decimal integer string, got {obj!r}")
 
 
@@ -78,6 +92,8 @@ def _load_json(text: str) -> Any:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    except ValueError:  # a bare integer over the digit limit
+        raise FormatError(f"a number is over {_digit_limit()}") from None
 
 
 def _domain_to_obj(domain: LabelDomain) -> dict[str, Any]:

@@ -37,6 +37,17 @@ def _det(rows: Sequence[Sequence[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
+def _generator_dim(gens: Sequence["IntMatrix"], *others: "IntMatrix") -> int:
+    """The one dimension of a nonempty generator list and any other matrices;
+    ValueError for an empty list or for mixed dimensions."""
+    if not gens:
+        raise ValueError("generator list must be nonempty")
+    dims = {m.n for m in (*others, *gens)}
+    if len(dims) != 1:
+        raise ValueError(f"matrices of mixed dimensions: {sorted(dims)}")
+    return dims.pop()
+
+
 class IntMatrix:
     """Immutable n x n matrix with arbitrary-precision integer entries."""
 
@@ -65,6 +76,9 @@ class IntMatrix:
 
     def __setattr__(self, name, value):
         raise AttributeError("IntMatrix is immutable")
+
+    def __reduce__(self):
+        return (IntMatrix, (self.entries,))
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Iterator, Optional, Sequence
 
-from matdecide.matrix import IntMatrix
+from matdecide.matrix import IntMatrix, _generator_dim
 
 DEFAULT_DEPTH = 8
 
@@ -23,12 +23,7 @@ def enumerate_products(
 ) -> Iterator[tuple[IntMatrix, tuple[int, ...]]]:
     """All distinct products of 1..max_len generators, each paired with its
     shortest (lexicographically least) witness, in deterministic order."""
-    if not gens:
-        raise ValueError("generator list must be nonempty")
-    dims = {g.n for g in gens}
-    if len(dims) != 1:
-        raise ValueError(f"matrices of mixed dimensions: {sorted(dims)}")
-    n = gens[0].n
+    n = _generator_dim(gens)
     seen: set[IntMatrix] = set()
     layer: list[tuple[IntMatrix, tuple[int, ...]]] = [(IntMatrix.identity(n), ())]
     for _ in range(max_len):
@@ -56,11 +51,7 @@ def group_word_search(
     The witness is the shortest such word and, among the shortest, the
     lexicographically least over the symbol order [g1, g1^-1, g2, g2^-1, ...].
     """
-    if not gens:
-        raise ValueError("generator list must be nonempty")
-    dims = {m.n for m in [y, *gens]}
-    if len(dims) != 1:
-        raise ValueError(f"matrices of mixed dimensions: {sorted(dims)}")
+    _generator_dim(gens, y)
     for g in gens:
         if not g.is_unimodular():
             raise ValueError("group search requires unimodular generators")

@@ -116,6 +116,9 @@ class CosetTable:
             _claim_coset(residues, c, r)
         object.__setattr__(self, "residues", MappingProxyType(residues))
 
+    def __reduce__(self):
+        return (CosetTable, (self.reps, self.gl2_generators))
+
     @property
     def size(self) -> int:
         return len(self.reps)

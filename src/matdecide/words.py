@@ -38,6 +38,9 @@ class FreeWord:
     def __setattr__(self, name, value):
         raise AttributeError("FreeWord is immutable")
 
+    def __reduce__(self):
+        return (FreeWord, (self.letters, self.rank))
+
     @classmethod
     def identity(cls, rank: int = 2) -> "FreeWord":
         return cls((), rank)

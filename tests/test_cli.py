@@ -17,7 +17,7 @@ from matdecide.formats import format_automaton, format_matrix, format_matrix_lis
 from matdecide.automata import build_identity_automaton, build_membership_automaton
 from matdecide.matrix import IntMatrix
 
-from conftest import A, A_INV, B, J, S, T
+from conftest import A, A_INV, B, B_INV, J, S, T
 
 
 @pytest.fixture
@@ -390,3 +390,123 @@ def test_convert_output_ignores_the_hash_seed(files):
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]
     assert len(parse_automaton(outputs[0]).states) == 25
+
+
+class _Input(str):
+    """Argument text written to a file, whose path replaces it in argv."""
+
+
+def _mats(*ms):
+    return _Input(format_matrix_list(list(ms)))
+
+
+def _block3(m: IntMatrix) -> IntMatrix:
+    return IntMatrix([list(m.entries[0]) + [0], list(m.entries[1]) + [0], [0, 0, 1]])
+
+
+_MEMBER_SUFFIX = " (signed generator indices, negative = inverse)"
+_SINGULAR = IntMatrix([[2, 0], [0, 1]])
+
+
+@pytest.mark.parametrize(
+    "argv, code, text, structured",
+    [
+        pytest.param(
+            ["member", "--target", _Input(format_matrix(A * B)), "--gens", _mats(A, B)],
+            0, "yes: witness 1 2" + _MEMBER_SUFFIX,
+            '{"answer": "yes", "command": "member", "witness": [1, 2]}',
+            id="member-yes"),
+        pytest.param(
+            ["member", "--target", _Input(format_matrix(B)), "--gens", _mats(A)],
+            1, "no: decided by coset conversion and emptiness of the membership machine",
+            '{"answer": "no", "command": "member", "reason": "decided by coset conversion '
+            'and emptiness of the membership machine"}',
+            id="member-no"),
+        pytest.param(
+            ["member", "--target", _Input(format_matrix(A_INV)), "--gens", _mats(A),
+             "--bounded", "4"],
+            2, "unknown: no product of length <= 4 matches (absence at the bound proves nothing)",
+            '{"answer": "unknown", "bound": 4, "command": "member", "witness": null}',
+            id="member-bounded-unknown"),
+        pytest.param(
+            ["member", "--target", _Input(format_matrix(IntMatrix([[1, 20], [0, 1]]))),
+             "--gens", _mats(A)],
+            0, "yes (no witness found within the search depth)",
+            '{"answer": "yes", "command": "member", "witness": null}',
+            id="member-yes-no-witness"),
+        pytest.param(
+            ["identity", "--gens", _mats(_SINGULAR, A, A_INV)],
+            0, "yes: witness 2 3",
+            '{"answer": "yes", "command": "identity", "witness": [2, 3]}',
+            id="identity-yes"),
+        pytest.param(
+            ["identity", "--gens", _mats(A, B)],
+            1, "no: decided by coset conversion and emptiness of the identity machine",
+            '{"answer": "no", "command": "identity", "reason": "decided by coset conversion '
+            'and emptiness of the identity machine"}',
+            id="identity-no"),
+        pytest.param(
+            ["identity", "--gens", _mats(_block4(A))],
+            2, "unknown: no product of length <= 8 equals the identity "
+               "(absence at the bound proves nothing)",
+            '{"answer": "unknown", "bound": 8, "command": "identity", "witness": null}',
+            id="identity-4x4-unknown"),
+        pytest.param(
+            ["empty", _Input(format_automaton(build_identity_automaton([A])))],
+            1, "EMPTY", '{"answer": "empty", "command": "empty", "witness": null}',
+            id="empty-empty"),
+        pytest.param(
+            ["empty", _Input(format_automaton(build_membership_automaton(A, [A_INV])))],
+            0, "NONEMPTY: witness 'aa'",
+            '{"answer": "nonempty", "command": "empty", "witness": "aa"}',
+            id="empty-nonempty"),
+        pytest.param(
+            ["empty", _Input(format_automaton(build_membership_automaton(A, [A_INV]))),
+             "--witness-len", "0"],
+            0, "NONEMPTY (no witness found within the search bounds)",
+            '{"answer": "nonempty", "command": "empty", "witness": null}',
+            id="empty-nonempty-no-witness"),
+        pytest.param(
+            ["empty", _Input(format_automaton(build_identity_automaton([_block3(A)])))],
+            2, "UNKNOWN: no exact emptiness procedure for 3x3 labels "
+               "and bounded search found no witness",
+            '{"answer": "unknown", "command": "empty", "witness": null}',
+            id="empty-3x3-unknown"),
+        pytest.param(
+            ["search", "--target", _Input(format_matrix(A * B_INV)), "--gens", _mats(A, B),
+             "--group"],
+            0, "found: 1 -2", '{"answer": "found", "command": "search", "witness": [1, -2]}',
+            id="search-found"),
+        pytest.param(
+            ["search", "--target", _Input(format_matrix(IntMatrix.identity(2))),
+             "--gens", _mats(A), "--group"],
+            0, "found: (empty product)",
+            '{"answer": "found", "command": "search", "witness": []}',
+            id="search-empty-product"),
+        pytest.param(
+            ["search", "--target", _Input(format_matrix(A * B_INV)), "--gens", _mats(A, B),
+             "--max-len", "4"],
+            2, "not found within length 4",
+            '{"answer": "not-found", "command": "search", "witness": null}',
+            id="search-not-found"),
+    ],
+)
+def test_every_answer_kind_in_both_formats(capsys, files, argv, code, text, structured):
+    argv = [files(f"in{i}.json", a) if isinstance(a, _Input) else a for i, a in enumerate(argv)]
+    assert run(capsys, *argv)[:2] == (code, text + "\n")
+    got = run(capsys, *argv, "--format", "structured")
+    assert got[:2] == (code, structured + "\n")
+    assert json.loads(got[1])["command"] == argv[0]
+
+
+@pytest.mark.parametrize("entry", ['"1{}"', "1{}"], ids=["string", "bare"])
+def test_entries_over_the_digit_limit_are_malformed_input(capsys, files, entry):
+    big = entry.format("0" * 5000)  # 5001 digits
+    target = files("y.json", f'[[{big},"0"],["0","1"]]')
+    gens = files("gens.json", format_matrix_list([A]))
+    code, out, err = run(capsys, "member", "--target", target, "--gens", gens)
+    assert (code, out) == (65, "")
+    assert err.count("\n") == 1 and err.startswith("matdecide: ")
+    assert "set_int_max_str_digits" not in err
+    if entry.startswith('"'):
+        assert "matrix[0][0]" in err

@@ -1,6 +1,13 @@
 import pytest
 
+from matdecide.automata import (
+    build_identity_automaton,
+    build_identity_universe_automaton,
+    build_membership_automaton,
+    build_membership_universe_automaton,
+)
 from matdecide.deciders import (
+    decide_identity_in_semigroup,
     decide_subgroup_membership,
     identity_in_semigroup_bounded,
     identity_in_semigroup_gl2,
@@ -8,7 +15,7 @@ from matdecide.deciders import (
     subgroup_membership_gl2,
 )
 from matdecide.matrix import IntMatrix
-from matdecide.oracle import group_word_search
+from matdecide.oracle import enumerate_products, group_word_search
 from matdecide.sanov import eval_word
 
 from conftest import A, A_INV, B, I2, S, random_reduced_word, random_unimodular
@@ -152,3 +159,40 @@ def test_determinant_gate_on_random_targets(rng):
         m = IntMatrix([[rng.randint(-5, 5) for _ in range(2)] for _ in range(2)])
         if not m.is_unimodular():
             assert not subgroup_membership_gl2(m, [A, B, S])
+
+
+I3 = IntMatrix.identity(3)
+TWO_BY_TWO_ONLY = "the exact decision procedure requires 2x2 matrices, got 3x3"
+
+
+@pytest.mark.parametrize(
+    "call, mixed_message",
+    [
+        (lambda gens: build_membership_automaton(A, gens), None),
+        (build_identity_automaton, None),
+        (lambda gens: build_membership_universe_automaton(A, gens), None),
+        (build_identity_universe_automaton, None),
+        (lambda gens: membership_bounded(A, gens, 2), None),
+        (lambda gens: identity_in_semigroup_bounded(gens, 2), None),
+        (lambda gens: list(enumerate_products(gens, 2)), None),
+        (lambda gens: group_word_search(A, gens, 2), None),
+        (decide_identity_in_semigroup, TWO_BY_TWO_ONLY),
+    ],
+    ids=[
+        "membership_automaton", "identity_automaton", "membership_universe",
+        "identity_universe", "membership_bounded", "identity_bounded",
+        "enumerate_products", "group_word_search", "decide_identity",
+    ],
+)
+def test_generator_list_messages(call, mixed_message):
+    with pytest.raises(ValueError) as empty:
+        call([])
+    assert str(empty.value) == "generator list must be nonempty"
+    with pytest.raises(ValueError) as mixed:
+        call([A, I3])
+    assert str(mixed.value) == (mixed_message or "matrices of mixed dimensions: [2, 3]")
+
+
+def test_membership_accepts_the_empty_generator_list():
+    assert decide_subgroup_membership(I2, []).answer
+    assert not decide_subgroup_membership(A, []).answer

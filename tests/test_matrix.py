@@ -1,10 +1,15 @@
+import copy
+import pickle
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from matdecide.automata import build_membership_automaton
 from matdecide.matrix import IntMatrix
+from matdecide.sanov import build_coset_table
+from matdecide.words import FreeWord
 
 from conftest import GL2_POOL, I2, naive_mul, perm_det
 
@@ -195,3 +200,23 @@ def test_computed_matrices_match_validated_ones(n):
         rows[0][0] = 0
         m = IntMatrix(rows)
         assert m.det() == perm_det(m)
+
+
+@pytest.mark.parametrize("kind", ["matrix", "word", "automaton", "coset_table"])
+def test_values_survive_pickle_and_copy(kind):
+    value = {
+        "matrix": lambda: IntMatrix([[3, 1], [5, 2]]),
+        "word": lambda: FreeWord([1, -2, 1], 2),
+        "automaton": lambda: build_membership_automaton(I2, [IntMatrix([[1, 2], [0, 1]])]),
+        "coset_table": build_coset_table,
+    }[kind]()
+    for clone in (lambda v: pickle.loads(pickle.dumps(v)), copy.copy, copy.deepcopy):
+        other = clone(value)
+        assert type(other) is type(value) and other == value
+        if type(value).__hash__ is not None:
+            assert hash(other) == hash(value)
+        if kind == "coset_table":
+            # derived in __post_init__, so rebuilt rather than shared
+            assert other.residues is not value.residues
+            assert dict(other.residues) == dict(value.residues)
+            assert other.rep_invs == value.rep_invs
