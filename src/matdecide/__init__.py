@@ -32,7 +32,6 @@ from matdecide.matrix import IntMatrix
 from matdecide.oracle import enumerate_products, group_word_search
 from matdecide.pda import (
     Pda,
-    PdaTransition,
     free_automaton_emptiness,
     from_free_automaton,
     pda_bounded_accepts,
@@ -60,7 +59,6 @@ __all__ = [
     "IntMatrix",
     "MatrixLabels",
     "Pda",
-    "PdaTransition",
     "SimResult",
     "ValenceAutomaton",
     "WordLabels",

@@ -250,6 +250,28 @@ def to_free_group_automaton(v: ValenceAutomaton, table: CosetTable) -> ValenceAu
     )
 
 
+def _live_states(v: ValenceAutomaton) -> set[str]:
+    """States on some path from the initial state to an accepting state."""
+    fwd_adj: dict[str, list[str]] = {}
+    bwd_adj: dict[str, list[str]] = {}
+    for e in v.edges:
+        fwd_adj.setdefault(e.src, []).append(e.dst)
+        bwd_adj.setdefault(e.dst, []).append(e.src)
+
+    def reach(seeds: Iterable[str], adj: dict[str, list[str]]) -> set[str]:
+        seen = set(seeds)
+        queue = deque(seen)
+        while queue:
+            q = queue.popleft()
+            for nxt in adj.get(q, ()):
+                if nxt not in seen:
+                    seen.add(nxt)
+                    queue.append(nxt)
+        return seen
+
+    return reach([v.initial], fwd_adj) & reach(v.accepting, bwd_adj)
+
+
 def _register_size(reg: Label) -> int:
     if isinstance(reg, IntMatrix):
         return reg.max_abs_entry()
@@ -277,9 +299,15 @@ def bounded_accepts(
         if sym not in v.alphabet:
             raise ValueError(f"input symbol {sym!r} not in the alphabet")
 
+    # a run through a state off every initial-to-accepting path never
+    # accepts, whatever its register, so skipping those states keeps NO exact
+    alive = _live_states(v)
+    if v.initial not in alive:
+        return SimResult.NO
     by_src: dict[str, list[Edge]] = {}
     for e in v.edges:
-        by_src.setdefault(e.src, []).append(e)
+        if e.dst in alive:
+            by_src.setdefault(e.src, []).append(e)
 
     start = Configuration(v.initial, v.identity_register(), 0)
 

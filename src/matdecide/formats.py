@@ -106,11 +106,13 @@ def _domain_from_obj(obj: Any) -> LabelDomain:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise FormatError("label_domain: expected an object with a 'kind' field")
     kind = obj["kind"]
-    if kind == "matrix":
-        return MatrixLabels(_int_from(obj.get("dim"), "label_domain.dim"))
-    if kind == "word":
-        return WordLabels(_int_from(obj.get("rank"), "label_domain.rank"))
-    raise FormatError(f"label_domain.kind: expected 'matrix' or 'word', got {kind!r}")
+    if kind not in ("matrix", "word"):
+        raise FormatError(f"label_domain.kind: expected 'matrix' or 'word', got {kind!r}")
+    field = "dim" if kind == "matrix" else "rank"
+    size = _int_from(obj.get(field), f"label_domain.{field}")
+    if size < 1:
+        raise FormatError(f"label_domain.{field}: must be at least 1, got {size}")
+    return MatrixLabels(size) if kind == "matrix" else WordLabels(size)
 
 
 def automaton_to_obj(v: ValenceAutomaton) -> dict[str, Any]:

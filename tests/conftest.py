@@ -104,9 +104,9 @@ def random_matrix_automaton(rng: random.Random, with_singular: bool = False):
     return ValenceAutomaton(states, ("a", "b"), MatrixLabels(2), edges, states[0], accepting)
 
 
-def random_word_automaton(rng: random.Random):
+def random_word_automaton(rng: random.Random, rank: int = 2):
     """Word-labeled automaton with up to 8 states, 20 edges, labels of up to
-    3 letters, over {a, b} plus epsilon."""
+    3 letters over `rank` generators, over {a, b} plus epsilon."""
     from matdecide.automata import Edge, ValenceAutomaton, WordLabels
 
     n_states = rng.randint(1, 8)
@@ -117,12 +117,12 @@ def random_word_automaton(rng: random.Random):
             Edge(
                 rng.choice(states),
                 rng.choice(["a", "b", None]),
-                random_reduced_word(rng, 3),
+                random_reduced_word(rng, 3, rank),
                 rng.choice(states),
             )
         )
     accepting = [q for q in states if rng.random() < 0.4]
-    return ValenceAutomaton(states, ("a", "b"), WordLabels(2), edges, states[0], accepting)
+    return ValenceAutomaton(states, ("a", "b"), WordLabels(rank), edges, states[0], accepting)
 
 
 def all_strings(alphabet, max_len):

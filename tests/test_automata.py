@@ -205,6 +205,23 @@ def test_bounded_accepts_tristate():
     assert bounded_accepts(v, "a", 100) is SimResult.REJECTED_AT_BOUND
 
 
+def _dead_start_3x3() -> ValenceAutomaton:
+    # s0 loops on epsilon with a growing register and has no edge towards s1
+    loop = IntMatrix([[1, -1, 0], [0, 1, 0], [0, 0, 1]])
+    return ValenceAutomaton(
+        ("s0", "s1"), ("a",), MatrixLabels(3), [Edge("s0", None, loop, "s0")], "s0", ("s1",)
+    )
+
+
+def test_bounded_accepts_skips_states_that_cannot_accept():
+    # a run through a state off every initial-to-accepting path never
+    # accepts, so the answer is a definitive no, not a cut at the cap
+    v = _dead_start_3x3()
+    assert bounded_accepts(v, ()) is SimResult.NO
+    assert bounded_accepts(v, "a") is SimResult.NO
+    assert shortest_accepted_string(v, max_len=3) is None
+
+
 def test_bounded_accepts_rejects_foreign_symbols():
     with pytest.raises(ValueError):
         bounded_accepts(build_identity_automaton([A]), "x")

@@ -366,6 +366,40 @@ def test_non_string_state_names_exit_65(capsys, files, field, mutate):
     assert field in err
 
 
+def _domain_doc(domain, accepting=()):
+    return {"states": ["p"], "alphabet": ["a"], "label_domain": domain,
+            "initial": "p", "accepting": list(accepting), "edges": []}
+
+
+@pytest.mark.parametrize(
+    "field, command, doc",
+    [
+        ("label_domain.rank", "empty", _domain_doc({"kind": "word", "rank": 0})),
+        ("label_domain.rank", "empty", _domain_doc({"kind": "word", "rank": 0}, ["p"])),
+        ("label_domain.rank", "empty", _domain_doc({"kind": "word", "rank": -2})),
+        ("label_domain.dim", "convert", _domain_doc({"kind": "matrix", "dim": 0})),
+        ("label_domain.dim", "empty", _domain_doc({"kind": "matrix", "dim": "-1"})),
+    ],
+    ids=["rank-0", "rank-0-accepting", "rank-negative", "dim-0-convert", "dim-negative"],
+)
+def test_label_domains_below_one_exit_65(capsys, files, field, command, doc):
+    code, out, err = run(capsys, command, files("aut.json", json.dumps(doc)))
+    assert (code, out) == (65, "")
+    assert err.count("\n") == 1 and field in err
+
+
+def test_empty_with_no_path_to_an_accepting_state_is_unknown(capsys, files):
+    # the initial state loops on epsilon and never reaches the accepting one,
+    # so the bounded witness search has nothing to explore
+    doc = {"states": ["s0", "s1"], "alphabet": ["a"], "label_domain": {"kind": "matrix", "dim": 3},
+           "initial": "s0", "accepting": ["s1"],
+           "edges": [{"src": "s0", "input": None, "dst": "s0",
+                      "label": [["1", "-1", "0"], ["0", "1", "0"], ["0", "0", "1"]]}]}
+    code, out, _ = run(capsys, "empty", files("aut.json", json.dumps(doc)), "--witness-len", "3")
+    assert code == 2
+    assert out.startswith("UNKNOWN")
+
+
 def test_structured_outputs_are_deterministic(capsys, files):
     gens = files("gens.json", format_matrix_list([A, A_INV]))
     first = run(capsys, "identity", "--gens", gens, "--format", "structured")

@@ -1,3 +1,5 @@
+import pytest
+
 from matdecide.automata import (
     Edge,
     SimResult,
@@ -10,7 +12,6 @@ from matdecide.automata import (
 )
 from matdecide.pda import (
     Pda,
-    PdaTransition,
     free_automaton_emptiness,
     from_free_automaton,
     pda_bounded_accepts,
@@ -37,9 +38,8 @@ def epsilon():
 def test_empty_label_becomes_plain_transition():
     v = word_automaton([Edge("p", "a", epsilon(), "q")], ("p", "q"), "p", ("q",))
     pda = from_free_automaton(v)
-    assert len(pda.transitions) == 1
-    t = pda.transitions[0]
-    assert (t.guard, t.action) == ("any", "none")
+    assert pda.hops == ((0, "a", 0, 1),)
+    assert (pda.initial, pda.accepting) == (0, frozenset({1}))
     assert pda_bounded_accepts(pda, "a")
 
 
@@ -69,9 +69,9 @@ def test_inverse_first_still_accepts():
 def test_multi_letter_labels_add_intermediate_states():
     v = word_automaton([Edge("p", "a", w("a b a"), "q")], ("p", "q"), "p", ("q",))
     pda = from_free_automaton(v)
-    assert len(pda.states) == 2 + 2  # k-letter label needs k-1 fresh states
-    # three letters, two pda transitions each (pop variant and push variant)
-    assert len(pda.transitions) == 6
+    assert pda.n_states == 2 + 2  # k-letter label needs k-1 fresh states
+    # one hop per letter (a b a is 1 2 1); the input symbol goes on the first
+    assert pda.hops == ((0, "a", 1, 2), (2, None, 2, 3), (3, None, 1, 1))
     assert not pda_bounded_accepts(pda, "a")  # register a b a is not identity
 
 
@@ -90,38 +90,17 @@ def test_pda_emptiness_examples():
     assert bounded_accepts(pipeline, "aa") is SimResult.ACCEPTED  # witness
 
 
-def test_pda_emptiness_on_guards_the_conversion_never_emits(rng):
-    # guarded plain moves and guarded pops appear only in hand-built machines
-    def machine(*moves):
-        ts = [PdaTransition(src, None, guard, gl, action, al, dst)
-              for src, guard, gl, action, al, dst in moves]
-        return Pda(("p", "q", "r", "s"), (), 2, tuple(ts), "p", frozenset({"s"}))
-
-    push = ("p", "any", None, "push", 1, "q")
-    pop = ("r", "top_is", 1, "pop", None, "s")
-    assert not pda_emptiness(machine(push, ("q", "top_is", 1, "none", None, "r"), pop))
-    assert pda_emptiness(machine(push, ("q", "top_is", 2, "none", None, "r"), pop))
-    assert not pda_emptiness(machine(push, ("q", "top_not", 2, "pop", None, "s")))
-    assert pda_emptiness(machine(push, ("q", "top_not", 1, "pop", None, "s")))
-    # neither engine pops an empty stack, whatever the guard
-    for bare_pop in (("p", "any", None, "pop", None, "s"), ("p", "top_not", 1, "pop", None, "s")):
-        assert pda_emptiness(machine(bare_pop))
-        assert not pda_bounded_accepts(machine(bare_pop), ())
-
+def test_pda_emptiness_on_random_hop_machines(rng):
+    # hops between arbitrary states, against the bounded reference
     found = 0
     for _ in range(300):
-        moves = []
-        for _ in range(rng.randint(1, 10)):
-            action = rng.choice(["none", "push", "pop"])
-            guard = rng.choice(["any", "top_is", "top_not"])
-            moves.append((
-                rng.choice("pqrs"), guard,
-                None if guard == "any" else rng.choice([1, -1, 2, -2]), action,
-                rng.choice([1, -1, 2, -2]) if action == "push" else None, rng.choice("pqrs"),
-            ))
-        pda = machine(*moves)
-        if pda_bounded_accepts(pda, (), stack_cap=12):
-            assert not pda_emptiness(pda), moves
+        hops = tuple(
+            (rng.randrange(4), None, rng.choice([0, 1, -1, 2, -2]), rng.randrange(4))
+            for _ in range(rng.randint(1, 10))
+        )
+        pda = Pda(4, (), 2, hops, 0, frozenset({3}))
+        if pda_bounded_accepts(pda, (), stack_cap=6):
+            assert not pda_emptiness(pda), hops
             found += 1
     assert found > 20
 
@@ -168,3 +147,20 @@ def test_bounded_witnesses_imply_nonempty(rng):
                 found += 1
                 break
     assert found > 5
+
+
+@pytest.mark.parametrize("rank", [1, 3])
+def test_engines_agree_on_other_stack_widths(rng, rank):
+    nonempty_seen = found = 0
+    for _ in range(60):
+        v = random_word_automaton(rng, rank)
+        empty = free_automaton_emptiness(v)
+        assert pda_emptiness(from_free_automaton(v)) == empty, v.edges
+        nonempty_seen += not empty
+        for s in ((), ("a",), ("b",), ("a", "b")):
+            if bounded_accepts(v, s, register_cap=12, config_budget=5000) is SimResult.ACCEPTED:
+                assert not empty
+                found += 1
+                break
+    assert nonempty_seen > 20
+    assert found > 20
