@@ -4,10 +4,14 @@ Entries are Python ints, so products along arbitrarily long paths stay exact;
 no floating point is used anywhere. Matrices are immutable and hashable, which
 lets BFS searches and coset tables key on them directly. The constructor
 validates its input; arithmetic on valid matrices skips that second pass.
+The 2x2 matrices of the decision pipeline take closed forms for products,
+determinants and inverses; larger n uses row-by-column sums, Bareiss
+elimination and cofactors.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -37,6 +41,11 @@ def _det(rows: Sequence[Sequence[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
+@lru_cache(maxsize=None)
+def _identity_entries(n: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+
+
 def _generator_dim(gens: Sequence["IntMatrix"], *others: "IntMatrix") -> int:
     """The one dimension of a nonempty generator list and any other matrices;
     ValueError for an empty list or for mixed dimensions."""
@@ -64,9 +73,9 @@ class IntMatrix:
         self._set(entries)
 
     def _set(self, entries: tuple[tuple[int, ...], ...]) -> "IntMatrix":
-        object.__setattr__(self, "n", len(entries))
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "_hash", hash(entries))
+        _set_n(self, len(entries))
+        _set_entries(self, entries)
+        _set_hash(self, hash(entries))
         return self
 
     @classmethod
@@ -84,9 +93,7 @@ class IntMatrix:
     def identity(cls, n: int) -> "IntMatrix":
         if n < 1:
             raise ValueError("dimension must be >= 1")
-        return cls._from_entries(
-            tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-        )
+        return cls._from_entries(_identity_entries(n))
 
     def __getitem__(self, ij: tuple[int, int]) -> int:
         i, j = ij
@@ -97,6 +104,11 @@ class IntMatrix:
             return NotImplemented
         if self.n != other.n:
             raise ValueError(f"dimension mismatch: {self.n}x{self.n} times {other.n}x{other.n}")
+        if self.n == 2:
+            (a, b), (c, d) = self.entries
+            (e, f), (g, h) = other.entries
+            return IntMatrix._from_entries(((a * e + b * g, a * f + b * h),
+                                            (c * e + d * g, c * f + d * h)))
         cols = tuple(zip(*other.entries))
         return IntMatrix._from_entries(
             tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in self.entries)
@@ -113,7 +125,11 @@ class IntMatrix:
         return f"IntMatrix([{rows}])"
 
     def det(self) -> int:
-        """Exact determinant by fraction-free (Bareiss) elimination."""
+        """Exact determinant: ad - bc for 2x2, else fraction-free (Bareiss)
+        elimination."""
+        if self.n == 2:
+            (a, b), (c, d) = self.entries
+            return a * d - b * c
         return _det(self.entries)
 
     def is_unimodular(self) -> bool:
@@ -124,6 +140,10 @@ class IntMatrix:
         d = self.det()
         if d not in (1, -1):
             raise ValueError("not invertible over the integers")
+        if self.n == 2:
+            (a, b), (c, e) = self.entries
+            # adjugate [[e, -b], [-c, a]] times det, which is its own inverse
+            return IntMatrix._from_entries(((d * e, -d * b), (-d * c, d * a)))
         e, n = self.entries, self.n
 
         def minor(drop_i: int, drop_j: int) -> int:
@@ -138,8 +158,11 @@ class IntMatrix:
         return max(abs(x) for row in self.entries for x in row)
 
     def is_identity(self) -> bool:
-        return all(
-            self.entries[i][j] == (1 if i == j else 0)
-            for i in range(self.n)
-            for j in range(self.n)
-        )
+        return self.entries == _identity_entries(self.n)
+
+
+# The slot descriptors write past the refusing __setattr__. Called directly
+# they cost half of object.__setattr__, and every computed matrix pays three.
+_set_n, _set_entries, _set_hash = (
+    IntMatrix.__dict__[name].__set__ for name in IntMatrix.__slots__
+)

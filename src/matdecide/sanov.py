@@ -88,7 +88,15 @@ def factor_in_sanov(m: IntMatrix) -> FreeWord | None:
         return None  # remainder is -[[1,*],[0,1]]
     k = b // 2
     letters.extend([1] * k if k >= 0 else [-1] * (-k))
-    return FreeWord(letters, rank=2)
+    # The letters are already a reduced rank-2 word, so they skip FreeWord's
+    # validating constructor. Each loop step appends a nonzero power of one
+    # generator: it rounds the larger of |a|, |c| over twice the smaller, a
+    # quotient above 1/2 in size. A step on the first generator leaves c != 0
+    # and |a| < |c|, and a step on the second leaves |c| < |a|, so the steps
+    # alternate and no two adjacent powers cancel. Only a step on the second
+    # generator changes c, so the loop ends on it, and the closing power of
+    # the first generator follows it.
+    return FreeWord.__new__(FreeWord)._set(tuple(letters), 2)
 
 
 @dataclass(frozen=True)

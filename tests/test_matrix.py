@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matdecide.automata import build_membership_automaton
-from matdecide.matrix import IntMatrix
+from matdecide.matrix import IntMatrix, _det
 from matdecide.sanov import build_coset_table
 from matdecide.words import FreeWord
 
@@ -220,3 +220,98 @@ def test_values_survive_pickle_and_copy(kind):
             assert other.residues is not value.residues
             assert dict(other.residues) == dict(value.residues)
             assert other.rep_invs == value.rep_invs
+
+
+# The 2x2 closed forms against the general n x n code. Entries mix 0, +-1,
+# small values and values up to 10**40; the three matrix families give
+# determinant 0, determinant +-1 and (mostly) any other determinant.
+entries = st.one_of(st.sampled_from([0, 1, -1]), st.integers(-9, 9),
+                    st.integers(-10**40, 10**40))
+_any_2x2 = st.builds(lambda a, b, c, d: IntMatrix([[a, b], [c, d]]),
+                     entries, entries, entries, entries)
+_singular_2x2 = st.builds(lambda a, b, k, l: IntMatrix([[k * a, k * b], [l * a, l * b]]),
+                          entries, entries, entries, entries)
+
+
+def _elementary_product(steps) -> IntMatrix:
+    """Product of upper and lower shears by p and of J, in plain tuples."""
+    (a, b), (c, d) = (1, 0), (0, 1)
+    for kind, p in steps:
+        if kind == 0:  # right-multiply by [[1, p], [0, 1]]
+            b, d = b + a * p, d + c * p
+        elif kind == 1:  # by [[1, 0], [p, 1]]
+            a, c = a + b * p, c + d * p
+        else:  # by [[1, 0], [0, -1]]
+            b, d = -b, -d
+    return IntMatrix([[a, b], [c, d]])
+
+
+_unimodular_2x2 = st.builds(
+    _elementary_product, st.lists(st.tuples(st.integers(0, 2), entries), max_size=6))
+any_det_2x2 = st.one_of(_any_2x2, _singular_2x2, _unimodular_2x2)
+
+
+def _adjugate_inverse(m: IntMatrix) -> IntMatrix:
+    """The general path's inverse: cofactor minors from _det, times det."""
+    d, e, n = _det(m.entries), m.entries, m.n
+    minor = lambda i, j: _det([r[:j] + r[j + 1:] for k, r in enumerate(e) if k != i])  # noqa: E731
+    return IntMatrix([[(-1) ** (i + j) * minor(j, i) * d for j in range(n)] for i in range(n)])
+
+
+def _identity_by_loop(m: IntMatrix) -> bool:
+    return all(m.entries[i][j] == (1 if i == j else 0) for i in range(m.n) for j in range(m.n))
+
+
+@given(any_det_2x2, any_det_2x2)
+def test_closed_form_product_matches_naive(a, b):
+    assert a * b == naive_mul(a, b)
+
+
+@given(any_det_2x2)
+def test_closed_form_determinant_matches_bareiss_and_permutations(m):
+    assert m.det() == _det(m.entries) == perm_det(m)
+    assert m.is_unimodular() == (perm_det(m) in (1, -1))
+
+
+@given(_unimodular_2x2)
+def test_closed_form_inverse_matches_adjugate(m):
+    assert m.is_unimodular()
+    inv = m.inverse_unimodular()
+    assert inv == _adjugate_inverse(m)
+    assert m * inv == inv * m == I2
+
+
+@given(st.one_of(_any_2x2, _singular_2x2))
+def test_closed_form_inverse_rejects_other_determinants(m):
+    if perm_det(m) in (1, -1):
+        return
+    with pytest.raises(ValueError) as info:
+        m.inverse_unimodular()
+    assert str(info.value) == "not invertible over the integers"
+
+
+@given(st.integers(1, 3).flatmap(lambda n: st.one_of(
+    st.just(IntMatrix.identity(n)),
+    st.lists(st.lists(st.sampled_from([0, 1, -1, 2]), min_size=n, max_size=n),
+             min_size=n, max_size=n).map(IntMatrix))))
+def test_is_identity_matches_the_entrywise_loop(m):
+    assert m.is_identity() == _identity_by_loop(m)
+
+
+def test_other_dimensions_keep_the_general_path():
+    big = 10**40
+    one = IntMatrix([[-1]])
+    assert one.det() == -1 and one.inverse_unimodular() == one and one.is_unimodular()
+    assert IntMatrix([[big]]) * IntMatrix([[3]]) == IntMatrix([[3 * big]])
+    with pytest.raises(ValueError, match="^not invertible over the integers$"):
+        IntMatrix([[2]]).inverse_unimodular()
+    m = IntMatrix([[1, big, 0], [0, 1, 0], [-3, 0, 1]])
+    inv = m.inverse_unimodular()
+    assert m.det() == perm_det(m) == 1
+    assert inv == _adjugate_inverse(m)
+    assert m * inv == naive_mul(m, inv) == IntMatrix.identity(3)
+    singular = IntMatrix([[1, 2, 3], [2, 4, 6], [0, 0, big]])
+    assert singular.det() == perm_det(singular) == 0 and not singular.is_unimodular()
+    with pytest.raises(ValueError, match="^not invertible over the integers$"):
+        singular.inverse_unimodular()
+    assert IntMatrix.identity(3).is_identity() and not m.is_identity()

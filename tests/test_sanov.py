@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 
 import pytest
@@ -60,6 +61,37 @@ def test_factor_roundtrip_short_words(rng):
     for _ in range(300):
         word = random_reduced_word(rng, 12)
         assert factor_in_sanov(eval_word(word)) == word
+
+
+def _assert_like_validated(word: FreeWord) -> None:
+    """word, built without FreeWord's checks, equals the validated word."""
+    fresh = FreeWord(word.letters, 2)
+    assert fresh == word and hash(fresh) == hash(word)
+    assert type(word.letters) is tuple and word.rank == 2
+
+
+def test_factor_builds_valid_words_on_seeded_products():
+    # Letter sequences are not reduced, so the factorization must also undo
+    # the cancellations; the reduced form of the sequence is the one answer.
+    rng = random.Random(9)
+    table = {1: GEN_A, -1: GEN_A.inverse_unimodular(), 2: GEN_B, -2: GEN_B.inverse_unimodular()}
+    for _ in range(2000):
+        seq = [rng.choice((1, -1, 2, -2)) for _ in range(rng.randint(0, 30))]
+        m = I2
+        for x in seq:
+            m = m * table[x]
+        word = factor_in_sanov(m)
+        _assert_like_validated(word)
+        assert word == FreeWord(seq, 2)
+        assert eval_word(word) == m
+
+
+def test_rewrite_builds_valid_words_for_long_shears():
+    table = default_coset_table()
+    for k in range(1, 301):
+        g = IntMatrix([[1, k], [0, 1]])
+        for c in range(table.size):
+            _assert_like_validated(schreier_rewrite(table, c, g)[1])
 
 
 def test_factor_rejects_cosets_of_minus_identity(rng):
