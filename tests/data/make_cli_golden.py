@@ -35,6 +35,12 @@ POOL = [
     ((1, 0), (0, -1)),
 ]
 SANOV = POOL[:4]
+# The inverse of each pool matrix.
+INVERSE = dict(zip(POOL, [POOL[2], POOL[3], POOL[0], POOL[1], POOL[5], POOL[4], POOL[7],
+                          POOL[6], POOL[8]]))
+# Elementary 3x3 shears and a cyclic permutation.
+POOL3 = [((1, 1, 0), (0, 1, 0), (0, 0, 1)), ((1, 0, 0), (0, 1, 1), (0, 0, 1)),
+         ((1, 0, 0), (0, 1, 0), (-1, 0, 1)), ((0, 1, 0), (0, 0, 1), (1, 0, 0))]
 
 
 def mul(x, y):
@@ -65,8 +71,7 @@ def list_text(ms):
 def word(rng, max_len):
     letters = []
     for _ in range(rng.randint(0, max_len)):
-        x = rng.choice("ab") + rng.choice(["", "'"])
-        letters.append(x)
+        letters.append(rng.choice("ab") + rng.choice(["", "'"]))
     return " ".join(letters) or "ε"
 
 
@@ -83,8 +88,7 @@ def automaton_text(rng, kind, dim=2, n_states=None, n_edges=None, singular=False
                 m = ((rng.randint(-2, 2), 0), (0, 0))
             label = [[str(x) for x in row] for row in m]
         else:
-            pool = small_3x3_pool()
-            label = [[str(x) for x in row] for row in product(rng, pool, rng.randint(0, 2), 3)]
+            label = [[str(x) for x in row] for row in product(rng, POOL3, rng.randint(0, 2), 3)]
         src, dst = rng.randrange(n_states), rng.randrange(n_states)
         symbol = rng.choice(["a", "b", None])
         if symbol is None and src >= dst:
@@ -96,14 +100,6 @@ def automaton_text(rng, kind, dim=2, n_states=None, n_edges=None, singular=False
     accepting = [q for q in states if rng.random() < 0.5] or [states[-1]]
     return json.dumps({"states": states, "alphabet": ["a", "b"], "label_domain": domain,
                        "initial": states[0], "accepting": accepting, "edges": edges})
-
-
-def small_3x3_pool():
-    e01 = ((1, 1, 0), (0, 1, 0), (0, 0, 1))
-    e12 = ((1, 0, 0), (0, 1, 1), (0, 0, 1))
-    e20 = ((1, 0, 0), (0, 1, 0), (-1, 0, 1))
-    perm = ((0, 1, 0), (0, 0, 1), (1, 0, 0))
-    return [e01, e12, e20, perm]
 
 
 def calls(rng):
@@ -160,25 +156,21 @@ def calls(rng):
            {"y.json": mat_text(((6,),)), "g.json": list_text([((2,),), ((3,),)])})
     yield (["member", "--target", "y.json", "--gens", "g.json", "--bounded", "2"],
            {"y.json": mat_text(((5,),)), "g.json": list_text([((2,),), ((3,),)])})
-    pool3 = small_3x3_pool()
     for _ in range(3):
-        gens = rng.sample(pool3, 2)
+        gens = rng.sample(POOL3, 2)
         target = product(rng, gens, rng.randint(0, 3), 3)
         yield (["member", "--target", "y.json", "--gens", "g.json", "--bounded", "3", *fmt()],
                {"y.json": mat_text(target), "g.json": list_text(gens)})
     yield (["member", "--target", "y.json", "--gens", "g.json"],
-           {"y.json": mat_text(ident(3)), "g.json": list_text(ident(2) for _ in range(1))})
+           {"y.json": mat_text(ident(3)), "g.json": list_text([ident(2)])})
 
     # identity: sets that contain a loop back to I, random sets, --checked,
     # --bounded, singular generators, 1x1 and 3x3.
     for i in range(22):
         gens = [product(rng, POOL, rng.randint(1, 3)) for _ in range(rng.randint(1, 3))]
         if i % 2 == 0:
-            inv = {POOL[0]: POOL[2], POOL[2]: POOL[0], POOL[1]: POOL[3], POOL[3]: POOL[1],
-                   POOL[4]: POOL[5], POOL[5]: POOL[4], POOL[6]: POOL[7], POOL[7]: POOL[6],
-                   POOL[8]: POOL[8]}
             g = rng.choice(POOL)
-            gens.append(inv[g] if rng.random() < 0.5 else g)
+            gens.append(INVERSE[g] if rng.random() < 0.5 else g)
         extra = []
         if i % 3 == 1:
             extra.append("--checked")
@@ -192,7 +184,7 @@ def calls(rng):
     yield (["identity", "--gens", "g.json", "--bounded", "3"],
            {"g.json": list_text([((-1,),)])})
     yield (["identity", "--gens", "g.json", "--bounded", "3", *fmt()],
-           {"g.json": list_text([pool3[3], pool3[0]])})
+           {"g.json": list_text([POOL3[3], POOL3[0]])})
     yield ["identity", "--gens", "g.json"], {"g.json": "[]"}
 
     # search: group words and positive products, any dimension.
