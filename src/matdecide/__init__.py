@@ -4,7 +4,6 @@ exist."""
 
 from matdecide._kernel import kernel_backend
 from matdecide.automata import (
-    Configuration,
     Edge,
     MatrixLabels,
     SimResult,
@@ -34,7 +33,6 @@ from matdecide.pda import (
     Pda,
     free_automaton_emptiness,
     from_free_automaton,
-    pda_bounded_accepts,
     pda_emptiness,
 )
 from matdecide.sanov import (
@@ -51,7 +49,6 @@ from matdecide.words import FreeWord
 __version__ = "0.1.0"
 
 __all__ = [
-    "Configuration",
     "CosetTable",
     "Decision",
     "Edge",
@@ -82,7 +79,6 @@ __all__ = [
     "identity_in_semigroup_gl2",
     "kernel_backend",
     "membership_bounded",
-    "pda_bounded_accepts",
     "pda_emptiness",
     "prune_noninvertible",
     "schreier_rewrite",

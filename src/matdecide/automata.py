@@ -1,14 +1,13 @@
 """Valence automata: finite automata whose register is multiplied by a matrix
 or free-group word on every transition, accepting on accept state + identity
 register. Includes the membership/identity machines, their universe-problem
-variants, non-invertible edge pruning, and the finite-index coset-product
-conversion from matrix labels to free-word labels.
-"""
+variants, non-invertible edge pruning, the finite-index coset-product
+conversion from matrix labels to free-word labels, and one bounded search
+over runs for acceptance and witnesses."""
 
 from __future__ import annotations
 
 import enum
-import itertools
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
@@ -85,14 +84,7 @@ class ValenceAutomaton:
     def __eq__(self, other) -> bool:
         if not isinstance(other, ValenceAutomaton):
             return NotImplemented
-        return (
-            self.states == other.states
-            and self.alphabet == other.alphabet
-            and self.label_domain == other.label_domain
-            and self.edges == other.edges
-            and self.initial == other.initial
-            and self.accepting == other.accepting
-        )
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
 
     def __repr__(self) -> str:
         return (
@@ -113,12 +105,6 @@ class ValenceAutomaton:
         if isinstance(self.label_domain, MatrixLabels):
             return IntMatrix.identity(self.label_domain.dim)
         return FreeWord.identity(self.label_domain.rank)
-
-
-class Configuration(NamedTuple):
-    state: str
-    register: Label
-    position: int
 
 
 class SimResult(enum.Enum):
@@ -278,70 +264,91 @@ def _register_size(reg: Label) -> int:
     return len(reg)
 
 
+def _search_runs(
+    v: ValenceAutomaton,
+    max_len: int,
+    register_cap: Optional[int],
+    config_budget: int,
+    word: Optional[tuple[str, ...]] = None,
+) -> tuple[Optional[tuple[str, ...]], bool]:
+    """Breadth-first search over configurations (state, register, consumed
+    input), one run-length layer at a time, over every input of at most
+    max_len symbols, or over the prefixes of `word` when it is given. A branch
+    whose register outgrows the cap (max absolute entry for matrices, length
+    for words) is cut, and one configuration budget covers all inputs.
+    Returns the input read by a shortest accepting run (shortlex-least over
+    the alphabet among those) or None, and whether the configuration space
+    under the cap was exhausted with nothing cut."""
+    if register_cap is None:
+        register_cap = (
+            DEFAULT_MATRIX_CAP if isinstance(v.label_domain, MatrixLabels) else DEFAULT_WORD_CAP
+        )
+    # a run through a state off every initial-to-accepting path never
+    # accepts, whatever its register, so skipping those states keeps NO exact
+    alive = _live_states(v)
+    if v.initial not in alive:
+        return None, True
+    by_src: dict[str, list[Edge]] = {}
+    for e in v.edges:
+        if e.dst in alive:
+            by_src.setdefault(e.src, []).append(e)
+
+    def least(found: list[tuple[str, ...]]) -> Optional[tuple[str, ...]]:
+        return min(found, key=lambda s: (len(s), [v.alphabet.index(x) for x in s]), default=None)
+
+    need = 0 if word is None else len(word)  # symbols an accepting run reads
+    start = (v.initial, v.identity_register(), ())
+    found = [()] if not need and v.initial in v.accepting and start[1].is_identity() else []
+    layer, seen, cut = [start], {start}, False
+    while layer and not found:
+        nxt = []
+        for state, reg, consumed in layer:
+            pos = len(consumed)
+            for e in by_src.get(state, ()):
+                if e.symbol is None:
+                    ncons = consumed
+                elif pos < max_len and (word is None or word[pos] == e.symbol):
+                    ncons = consumed + (e.symbol,)
+                else:
+                    continue
+                nreg = reg * e.label
+                if _register_size(nreg) > register_cap:
+                    cut = True
+                    continue
+                conf = (e.dst, nreg, ncons)
+                if conf in seen:
+                    continue
+                if len(ncons) >= need and e.dst in v.accepting and nreg.is_identity():
+                    if word is not None:  # every accepting run reads all of it
+                        return ncons, False
+                    found.append(ncons)
+                elif len(seen) >= config_budget:
+                    return least(found), False
+                else:
+                    seen.add(conf)
+                    nxt.append(conf)
+        layer = nxt
+    return least(found), not cut
+
+
 def bounded_accepts(
     v: ValenceAutomaton,
     w: Sequence[str],
     register_cap: Optional[int] = None,
     config_budget: int = DEFAULT_CONFIG_BUDGET,
 ) -> SimResult:
-    """BFS over configurations (state, register, input position), cutting any
-    branch whose register outgrows the cap (max absolute entry for matrices,
-    length for words). ACCEPTED is definitive. NO is definitive: it means the
-    whole configuration space under the cap was exhausted with nothing cut.
-    REJECTED_AT_BOUND means the search was truncated, by a register cut or by
-    the configuration budget, and proves nothing.
+    """The bounded search over runs restricted to the input w. ACCEPTED is
+    definitive. NO is definitive: the whole configuration space under the cap
+    was exhausted with nothing cut. REJECTED_AT_BOUND means a register cut or
+    the configuration budget truncated the search, and proves nothing.
     """
-    if register_cap is None:
-        register_cap = (
-            DEFAULT_MATRIX_CAP if isinstance(v.label_domain, MatrixLabels) else DEFAULT_WORD_CAP
-        )
     for sym in w:
         if sym not in v.alphabet:
             raise ValueError(f"input symbol {sym!r} not in the alphabet")
-
-    # a run through a state off every initial-to-accepting path never
-    # accepts, whatever its register, so skipping those states keeps NO exact
-    alive = _live_states(v)
-    if v.initial not in alive:
-        return SimResult.NO
-    by_src: dict[str, list[Edge]] = {}
-    for e in v.edges:
-        if e.dst in alive:
-            by_src.setdefault(e.src, []).append(e)
-
-    start = Configuration(v.initial, v.identity_register(), 0)
-
-    def accepts(c: Configuration) -> bool:
-        return c.position == len(w) and c.state in v.accepting and c.register.is_identity()
-
-    if accepts(start):
+    found, exhausted = _search_runs(v, len(w), register_cap, config_budget, tuple(w))
+    if found is not None:
         return SimResult.ACCEPTED
-    queue = deque([start])
-    seen = {start}
-    cut = False
-    while queue:
-        state, reg, pos = queue.popleft()
-        for e in by_src.get(state, ()):
-            if e.symbol is None:
-                npos = pos
-            elif pos < len(w) and w[pos] == e.symbol:
-                npos = pos + 1
-            else:
-                continue
-            nreg = reg * e.label
-            if _register_size(nreg) > register_cap:
-                cut = True
-                continue
-            conf = Configuration(e.dst, nreg, npos)
-            if conf in seen:
-                continue
-            if accepts(conf):
-                return SimResult.ACCEPTED
-            if len(seen) >= config_budget:
-                return SimResult.REJECTED_AT_BOUND
-            seen.add(conf)
-            queue.append(conf)
-    return SimResult.REJECTED_AT_BOUND if cut else SimResult.NO
+    return SimResult.NO if exhausted else SimResult.REJECTED_AT_BOUND
 
 
 def shortest_accepted_string(
@@ -349,12 +356,7 @@ def shortest_accepted_string(
     max_len: int = 8,
     register_cap: Optional[int] = None,
 ) -> Optional[str]:
-    """First input string the bounded simulator accepts, in shortlex order
-    over the alphabet; None if nothing is found within the bounds."""
-    if bounded_accepts(v, (), register_cap) is SimResult.ACCEPTED:
-        return ""
-    for length in range(1, max_len + 1):
-        for combo in itertools.product(v.alphabet, repeat=length):
-            if bounded_accepts(v, combo, register_cap) is SimResult.ACCEPTED:
-                return "".join(combo)
-    return None
+    """Input of at most max_len symbols read by a shortest accepting run (the
+    shortlex-least among those); None if the bounded search finds none."""
+    found, _ = _search_runs(v, max_len, register_cap, DEFAULT_CONFIG_BUDGET)
+    return None if found is None else "".join(found)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from matdecide import _kernel
 from matdecide.automata import ValenceAutomaton, WordLabels, _live_states
@@ -181,41 +181,3 @@ def free_automaton_emptiness(v: ValenceAutomaton) -> bool:
         n_states, hops, idx[v.initial], [idx[q] for q in v.accepting if q in alive]
     )
 
-
-def pda_bounded_accepts(p: Pda, w: Sequence[str], stack_cap: int = 64) -> bool:
-    """Semi-decision: BFS over (state, stack, position) configurations with a
-    stack-depth cap; True means w is definitely accepted."""
-    by_src: dict[int, list[tuple[int, Optional[str], int, int]]] = {}
-    for hop in p.hops:
-        by_src.setdefault(hop[0], []).append(hop)
-
-    start = (p.initial, (), 0)
-    if p.initial in p.accepting and len(w) == 0:
-        return True
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        state, stack, pos = queue.popleft()
-        for _, symbol, letter, dst in by_src.get(state, ()):
-            if symbol is None:
-                npos = pos
-            elif pos < len(w) and w[pos] == symbol:
-                npos = pos + 1
-            else:
-                continue
-            if letter == 0:
-                nstack = stack
-            elif stack and stack[-1] == -letter:
-                nstack = stack[:-1]
-            else:
-                nstack = stack + (letter,)
-                if len(nstack) > stack_cap:
-                    continue
-            conf = (dst, nstack, npos)
-            if conf in seen:
-                continue
-            if dst in p.accepting and not nstack and npos == len(w):
-                return True
-            seen.add(conf)
-            queue.append(conf)
-    return False

@@ -134,3 +134,20 @@ def all_strings(alphabet, max_len):
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(0xC0537)
+
+
+@pytest.fixture
+def moves(monkeypatch) -> list[int]:
+    """A one-item counter of the bounded search's moves: every move checks
+    the size of one register."""
+    from matdecide import automata
+
+    count = [0]
+    size = automata._register_size
+
+    def counted(reg):
+        count[0] += 1
+        return size(reg)
+
+    monkeypatch.setattr(automata, "_register_size", counted)
+    return count

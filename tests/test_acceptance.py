@@ -8,14 +8,21 @@ runtime ceilings.
 import random
 import time
 
-from matdecide.automata import SimResult, bounded_accepts, to_free_group_automaton
+from matdecide.automata import (
+    Edge,
+    MatrixLabels,
+    SimResult,
+    ValenceAutomaton,
+    bounded_accepts,
+    to_free_group_automaton,
+)
 from matdecide.cli import main as cli_main
 from matdecide.deciders import (
     identity_in_semigroup_bounded,
     identity_in_semigroup_gl2,
     subgroup_membership_gl2,
 )
-from matdecide.formats import format_matrix, format_matrix_list
+from matdecide.formats import format_automaton, format_matrix, format_matrix_list
 from matdecide.matrix import IntMatrix
 from matdecide.pda import free_automaton_emptiness, from_free_automaton, pda_emptiness
 from matdecide.sanov import (
@@ -29,7 +36,9 @@ from matdecide.words import FreeWord
 
 from conftest import (
     A,
+    A_INV,
     B,
+    B_INV,
     I2,
     S,
     all_strings,
@@ -105,7 +114,7 @@ def test_criterion_3_conversion_preserves_language():
 def _cancellation_machines():
     """Hand-built shapes whose acceptance hinges on popping an inverse letter
     that was pushed first."""
-    from matdecide.automata import Edge, ValenceAutomaton, WordLabels
+    from matdecide.automata import WordLabels
 
     def w(text):
         return FreeWord.from_text(text, 2)
@@ -199,13 +208,13 @@ def test_criterion_6_identity_agrees_with_bounded_search():
         assert bounded_hits >= 100
 
 
+def _diag4(x: IntMatrix, y: IntMatrix) -> IntMatrix:
+    rows = [list(x.entries[i]) + [0, 0] for i in range(2)]
+    return IntMatrix(rows + [[0, 0] + list(y.entries[i]) for i in range(2)])
+
+
 def _block4(m: IntMatrix) -> IntMatrix:
-    rows = []
-    for i in range(2):
-        rows.append(list(m.entries[i]) + [0, 0])
-    for i in range(2):
-        rows.append([0, 0] + list(m.entries[i]))
-    return IntMatrix(rows)
+    return _diag4(m, m)
 
 
 def test_criterion_7_no_definitive_no_beyond_2x2(tmp_path, capsys):
@@ -244,3 +253,56 @@ def test_criterion_7_no_definitive_no_beyond_2x2(tmp_path, capsys):
             target_path = write(f"rt{k}.json", format_matrix(target))
             assert run_cli("member", "--target", target_path, "--gens", gens_path) in (0, 2)
             assert run_cli("identity", "--gens", gens_path, "--bounded", "4") in (0, 2)
+
+
+def pcp_automaton(pairs) -> ValenceAutomaton:
+    """The paper's 4x4 undecidability construction for a Post Correspondence
+    instance (u_1, v_1), ..., (u_k, v_k) over {a, b}. Reading index i from s
+    or t multiplies the register by diag(phi(u_i), phi(v_i)), with phi(a) = A
+    and phi(b) = B; then t -e-> r, and r loops on epsilon with diag(A', A')
+    and diag(B', B'). The register ends as diag(phi(U) W, phi(V) W), which is
+    the identity iff phi(U) = phi(V), iff U = V since A and B generate a free
+    group. So the language is exactly the instance's solutions."""
+    phi = {"a": A, "b": B}
+
+    def image(text):
+        m = I2
+        for c in text:
+            m = m * phi[c]
+        return m
+
+    symbols = [str(i) for i in range(1, len(pairs) + 1)]
+    edges = [Edge("t", None, IntMatrix.identity(4), "r"),
+             Edge("r", None, _diag4(A_INV, A_INV), "r"),
+             Edge("r", None, _diag4(B_INV, B_INV), "r")]
+    for sym, (u, v) in zip(symbols, pairs):
+        label = _diag4(image(u), image(v))
+        edges += [Edge("s", sym, label, "t"), Edge("t", sym, label, "t")]
+    return ValenceAutomaton(("s", "t", "r"), symbols, MatrixLabels(4), edges, "s", ("r",))
+
+
+def test_criterion_8_pcp_gives_its_solution_or_unknown(tmp_path, capsys, monkeypatch):
+    with _Timer("criterion 8: 4x4 PCP construction gives its solution or unknown", 5.0):
+        def empty(pairs, witness_len, cap):
+            monkeypatch.setenv("MATDECIDE_REGISTER_CAP", str(cap))
+            path = tmp_path / "pcp.json"
+            path.write_text(format_automaton(pcp_automaton(pairs)))
+            code = cli_main(["empty", str(path), "--witness-len", str(witness_len)])
+            return code, capsys.readouterr().out
+
+        def solves(pairs, indices):
+            return "".join(pairs[int(i) - 1][0] for i in indices) == "".join(
+                pairs[int(i) - 1][1] for i in indices)
+
+        planted = [
+            ([("ab", "a"), ("b", "bb")], 2, "12"),
+            ([("a", "baa"), ("ab", "aa"), ("bba", "bb")], 4, "3231"),
+        ]
+        for pairs, witness_len, solution in planted:
+            assert solves(pairs, solution)
+            assert empty(pairs, witness_len, 1000) == (0, f"NONEMPTY: witness {solution!r}\n")
+
+        # every |u_i| > |v_i|, so there is no solution; the answer must be
+        # unknown, never a definitive empty
+        code, out = empty([("aa", "a"), ("ba", "b")], 3, 64)
+        assert code == 2 and out.startswith("UNKNOWN")

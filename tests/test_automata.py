@@ -3,6 +3,7 @@ from collections import deque
 import pytest
 
 from matdecide.automata import (
+    DEFAULT_CONFIG_BUDGET,
     Edge,
     MatrixLabels,
     SimResult,
@@ -32,6 +33,7 @@ from conftest import (
     all_strings,
     random_matrix_automaton,
     random_reduced_word,
+    random_word_automaton,
 )
 
 ACCEPT = SimResult.ACCEPTED
@@ -271,6 +273,56 @@ def test_shortest_accepted_string():
     assert shortest_accepted_string(v) == "aa"
     v2 = build_membership_automaton(A, [B])
     assert shortest_accepted_string(v2, max_len=4, register_cap=10**4) is None
+
+
+def shortlex_reference(v: ValenceAutomaton, max_len: int, register_cap: int):
+    """The per-candidate search: the first input in shortlex order over the
+    alphabet that bounded_accepts accepts, each candidate searched afresh."""
+    for s in all_strings(v.alphabet, max_len):
+        if bounded_accepts(v, s, register_cap) is ACCEPT:
+            return "".join(s)
+    return None
+
+
+def test_search_over_runs_agrees_with_the_per_candidate_search(rng, moves):
+    # caps small enough that neither search reaches the configuration budget:
+    # a search that makes fewer moves than the budget never stops at it, and
+    # then both searches see every run under the cap
+    def bounded(search, *args):
+        moves[0] = 0
+        result = search(*args)
+        assert moves[0] < DEFAULT_CONFIG_BUDGET
+        return result
+
+    machines = [(random_matrix_automaton(rng), 20) for _ in range(30)]
+    machines += [(random_word_automaton(rng), 6) for _ in range(30)]
+    found = 0
+    for v, cap in machines:
+        witness = bounded(shortest_accepted_string, v, 3, cap)
+        assert (witness is None) == (bounded(shortlex_reference, v, 3, cap) is None), v.edges
+        if witness is not None:
+            found += 1
+            assert len(witness) <= 3
+            assert bounded_accepts(v, witness, cap) is ACCEPT
+    assert 0 < found < len(machines)
+
+
+def test_search_over_runs_keys_inputs_by_symbols():
+    # symbols longer than one character: the consumed input is a tuple of
+    # symbols, so its length counts symbols and the order follows the
+    # alphabet; ordering the joined strings would pick "aa"
+    x = FreeWord([1], 2)
+    v = ValenceAutomaton(
+        ("p", "q", "r"), ("ab", "a"), WordLabels(2),
+        [Edge("p", "a", x, "q"), Edge("p", "ab", x, "q"), Edge("q", "a", x.inverse(), "r")],
+        "p", ("r",),
+    )
+    assert bounded_accepts(v, ("ab", "a")) is ACCEPT
+    assert bounded_accepts(v, ("a", "ab")) is SimResult.NO
+    assert bounded_accepts(v, ("ab",)) is SimResult.NO
+    assert shortest_accepted_string(v, max_len=2) == "aba"
+    assert shortlex_reference(v, 2, 4) == "aba"
+    assert shortest_accepted_string(v, max_len=1) is None
 
 
 def test_machines_over_free_words_directly(rng):

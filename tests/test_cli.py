@@ -14,7 +14,13 @@ import matdecide
 from matdecide import cli, deciders
 from matdecide.cli import main
 from matdecide.formats import format_automaton, format_matrix, format_matrix_list, parse_automaton
-from matdecide.automata import build_identity_automaton, build_membership_automaton
+from matdecide.automata import (
+    Edge,
+    MatrixLabels,
+    ValenceAutomaton,
+    build_identity_automaton,
+    build_membership_automaton,
+)
 from matdecide.matrix import IntMatrix
 
 from conftest import A, A_INV, B, B_INV, J, S, T
@@ -398,6 +404,49 @@ def test_empty_with_no_path_to_an_accepting_state_is_unknown(capsys, files):
     code, out, _ = run(capsys, "empty", files("aut.json", json.dumps(doc)), "--witness-len", "3")
     assert code == 2
     assert out.startswith("UNKNOWN")
+
+
+def test_witness_search_pays_for_an_epsilon_loop_once(capsys, files, monkeypatch, moves):
+    # s0 loops on epsilon with a register that grows at every turn, and every
+    # configuration the loop reaches can read a into the accepting state s1
+    loop = IntMatrix([[1, -1, 0], [0, 1, 0], [0, 0, 1]])
+    double = IntMatrix([[2, 0, 0], [0, 1, 0], [0, 0, 1]])
+    v = ValenceAutomaton(
+        ("s0", "s1"), ("a",), MatrixLabels(3),
+        [Edge("s0", None, loop, "s0"), Edge("s0", "a", double, "s1")], "s0", ("s1",),
+    )
+    path = files("aut.json", format_automaton(v))
+    monkeypatch.setenv("MATDECIDE_REGISTER_CAP", "50")
+
+    def explored(witness_len):
+        moves[0] = 0
+        assert run(capsys, "empty", path, "--witness-len", witness_len)[0] == 2
+        return moves[0]
+
+    epsilon_moves = explored("0")
+    # each letter move leaves one of the configurations that the epsilon
+    # loop reaches, and each of those makes one epsilon move
+    assert epsilon_moves <= explored("3") <= 2 * epsilon_moves
+
+
+def test_empty_finds_a_witness_through_a_growing_epsilon_cycle(capsys, files):
+    # letters alone reach the identity only with four b per a, so a witness of
+    # at most four symbols needs runs through the epsilon loops
+    v = ValenceAutomaton(
+        ("s0", "s1"), ("a", "b"), MatrixLabels(2),
+        [
+            Edge("s1", None, IntMatrix([[1, 0], [0, 1]]), "s0"),
+            Edge("s0", "a", IntMatrix([[1, -4], [0, 1]]), "s1"),
+            Edge("s1", "b", IntMatrix([[1, 1], [0, 1]]), "s1"),
+            Edge("s1", "b", IntMatrix([[1, 0], [0, 1]]), "s0"),
+            Edge("s1", None, IntMatrix([[2, -3], [1, -1]]), "s1"),
+            Edge("s0", None, IntMatrix([[1, 0], [-2, 1]]), "s0"),
+        ],
+        "s0", ("s1",),
+    )
+    path = files("aut.json", format_automaton(v))
+    code, out, _ = run(capsys, "empty", path, "--witness-len", "4")
+    assert (code, out) == (0, "NONEMPTY: witness 'abab'\n")
 
 
 def test_structured_outputs_are_deterministic(capsys, files):

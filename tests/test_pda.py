@@ -1,3 +1,5 @@
+from collections import deque
+
 import pytest
 
 from matdecide.automata import (
@@ -14,7 +16,6 @@ from matdecide.pda import (
     Pda,
     free_automaton_emptiness,
     from_free_automaton,
-    pda_bounded_accepts,
     pda_emptiness,
 )
 from matdecide.sanov import default_coset_table
@@ -33,6 +34,46 @@ def w(text):
 
 def epsilon():
     return FreeWord.identity(2)
+
+
+def pda_bounded_accepts(p: Pda, w, stack_cap: int = 64) -> bool:
+    """Pushdown test reference: BFS over (state, stack, position)
+    configurations with a stack-depth cap; True means w is definitely
+    accepted."""
+    by_src: dict = {}
+    for hop in p.hops:
+        by_src.setdefault(hop[0], []).append(hop)
+
+    start = (p.initial, (), 0)
+    if p.initial in p.accepting and len(w) == 0:
+        return True
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        state, stack, pos = queue.popleft()
+        for _, symbol, letter, dst in by_src.get(state, ()):
+            if symbol is None:
+                npos = pos
+            elif pos < len(w) and w[pos] == symbol:
+                npos = pos + 1
+            else:
+                continue
+            if letter == 0:
+                nstack = stack
+            elif stack and stack[-1] == -letter:
+                nstack = stack[:-1]
+            else:
+                nstack = stack + (letter,)
+                if len(nstack) > stack_cap:
+                    continue
+            conf = (dst, nstack, npos)
+            if conf in seen:
+                continue
+            if dst in p.accepting and not nstack and npos == len(w):
+                return True
+            seen.add(conf)
+            queue.append(conf)
+    return False
 
 
 def test_empty_label_becomes_plain_transition():
