@@ -355,8 +355,8 @@ def shortest_accepted_string(
     v: ValenceAutomaton,
     max_len: int = 8,
     register_cap: Optional[int] = None,
-) -> Optional[str]:
+) -> Optional[tuple[str, ...]]:
     """Input of at most max_len symbols read by a shortest accepting run (the
-    shortlex-least among those); None if the bounded search finds none."""
-    found, _ = _search_runs(v, max_len, register_cap, DEFAULT_CONFIG_BUDGET)
-    return None if found is None else "".join(found)
+    shortlex-least among those), as its tuple of symbols; None if the bounded
+    search finds none."""
+    return _search_runs(v, max_len, register_cap, DEFAULT_CONFIG_BUDGET)[0]

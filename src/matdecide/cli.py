@@ -83,15 +83,29 @@ def _read(path: str) -> str:
         raise FormatError(f"{path}: {exc.strerror or exc}")
 
 
-def _emit(args, text_lines: list[str], structured: dict[str, Any]) -> None:
+# One command's answer: exit code, text lines, structured fields.
+Answer = tuple[int, list[str], dict[str, Any]]
+
+
+def _emit(args, answer: Answer) -> int:
+    """Write a command's answer in the chosen format and return its exit code."""
+    code, lines, fields = answer
     if args.format == "structured":
-        print(json.dumps({"command": args.command, **structured}, sort_keys=True))
+        print(json.dumps({"command": args.command, **fields}, sort_keys=True))
     else:
-        for line in text_lines:
+        for line in lines:
             print(line)
+    return code
 
 
-def cmd_factor(args) -> int:
+def _gens(args) -> list[IntMatrix]:
+    gens = parse_matrix_list(_read(args.gens))
+    if not gens:
+        raise FormatError(f"{args.command}: generator list is empty")
+    return gens
+
+
+def cmd_factor(args) -> Answer:
     text = _read(args.file) if args.file else args.matrix
     if text is None:
         raise FormatError("factor: provide a matrix argument or --file")
@@ -100,51 +114,42 @@ def cmd_factor(args) -> int:
         raise FormatError(f"factor: expected a 2x2 matrix, got {m.n}x{m.n}")
     word = factor_in_sanov(m)
     if word is None:
-        _emit(args, ["not a member"], {"member": False})
-        return 1
-    _emit(args, [word.to_text()], {"member": True, "word": word.to_text()})
-    return 0
+        return 1, ["not a member"], {"member": False}
+    return 0, [word.to_text()], {"member": True, "word": word.to_text()}
 
 
-def cmd_cosets(args) -> int:
+def cmd_cosets(args) -> Answer:
     table = default_coset_table()
     lines = [format_matrix(rep) for rep in table.reps]
-    _emit(args, lines, {"size": table.size, "representatives": [json.loads(s) for s in lines]})
-    return 0
+    return 0, lines, {"size": table.size, "representatives": [json.loads(s) for s in lines]}
 
 
 def _witness_str(seq: Sequence[int]) -> str:
     return " ".join(str(i) for i in seq) or "(empty product)"
 
 
-def _bounded_report(args, witness: Optional[Sequence[int]], bound: int, miss: str) -> int:
-    """Report a bounded product search: a witness, or unknown at the bound,
+def _bounded_report(witness: Optional[Sequence[int]], bound: int, miss: str) -> Answer:
+    """Answer of a bounded product search: a witness, or unknown at the bound,
     where miss says what no product of length <= bound did."""
     if witness is not None:
-        _emit(args, [f"yes: witness {_witness_str(witness)}"],
-              {"answer": "yes", "witness": list(witness), "bound": bound})
-        return 0
-    _emit(args, [f"unknown: no product of length <= {bound} {miss} "
-                 "(absence at the bound proves nothing)"],
-          {"answer": "unknown", "witness": None, "bound": bound})
-    return 2
+        return (0, [f"yes: witness {_witness_str(witness)}"],
+                {"answer": "yes", "witness": list(witness), "bound": bound})
+    return (2, [f"unknown: no product of length <= {bound} {miss} "
+                "(absence at the bound proves nothing)"],
+            {"answer": "unknown", "witness": None, "bound": bound})
 
 
-def _decision_report(
-    args, decision: Decision, witness: Optional[Sequence[int]], suffix: str = ""
-) -> int:
-    """Report an exact decision: no with its reason, or yes with the witness
+def _decision_report(decision: Decision, witness: Optional[Sequence[int]],
+                     suffix: str = "") -> Answer:
+    """Answer of an exact decision: no with its reason, or yes with the witness
     (text followed by suffix) or the line saying the search found none."""
     if not decision.answer:
-        _emit(args, [f"no: {decision.reason}"], {"answer": "no", "reason": decision.reason})
-        return 1
+        return 1, [f"no: {decision.reason}"], {"answer": "no", "reason": decision.reason}
     if witness is None:
-        _emit(args, ["yes (no witness found within the search depth)"],
-              {"answer": "yes", "witness": None})
-    else:
-        _emit(args, [f"yes: witness {_witness_str(witness)}{suffix}"],
-              {"answer": "yes", "witness": list(witness)})
-    return 0
+        return (0, ["yes (no witness found within the search depth)"],
+                {"answer": "yes", "witness": None})
+    return (0, [f"yes: witness {_witness_str(witness)}{suffix}"],
+            {"answer": "yes", "witness": list(witness)})
 
 
 def _unimodular_witness(
@@ -160,105 +165,97 @@ def _unimodular_witness(
     return tuple(positions[abs(s) - 1] * (1 if s > 0 else -1) for s in found)
 
 
-def cmd_member(args) -> int:
+def cmd_member(args) -> Answer:
     y = parse_matrix(_read(args.target))
-    gens = parse_matrix_list(_read(args.gens))
-    if not gens:
-        raise FormatError("member: generator list is empty")
+    gens = _gens(args)
     if args.bounded is not None or y.n != 2:
         bound = args.bounded if args.bounded is not None else DEFAULT_DEPTH
-        return _bounded_report(args, membership_bounded(y, gens, bound), bound, "matches")
+        return _bounded_report(membership_bounded(y, gens, bound), bound, "matches")
     decision = decide_subgroup_membership(y, gens, checked=args.checked)
     witness = None
     if decision.answer:  # I is the empty product, also with no unimodular generator
         witness = () if y.is_identity() else _unimodular_witness(
             gens, lambda us: group_word_search(y, us, DEFAULT_DEPTH))
-    return _decision_report(args, decision, witness,
-                            " (signed generator indices, negative = inverse)")
+    return _decision_report(decision, witness, " (signed generator indices, negative = inverse)")
 
 
-def cmd_identity(args) -> int:
-    gens = parse_matrix_list(_read(args.gens))
-    if not gens:
-        raise FormatError("identity: generator list is empty")
+def cmd_identity(args) -> Answer:
+    gens = _gens(args)
     if args.bounded is not None or gens[0].n != 2:
         bound = args.bounded if args.bounded is not None else DEFAULT_DEPTH
-        witness = identity_in_semigroup_bounded(gens, bound)
-        return _bounded_report(args, witness, bound, "equals the identity")
+        return _bounded_report(identity_in_semigroup_bounded(gens, bound), bound,
+                               "equals the identity")
     decision = decide_identity_in_semigroup(gens, checked=args.checked)
     witness = None
     if decision.answer:
         witness = _unimodular_witness(
             gens, lambda us: identity_in_semigroup_bounded(us, DEFAULT_DEPTH))
-    return _decision_report(args, decision, witness)
+    return _decision_report(decision, witness)
 
 
-def cmd_empty(args) -> int:
+def cmd_empty(args) -> Answer:
     v = parse_automaton(_read(args.automaton))
     cap = _register_cap()
     matrix_labels = isinstance(v.label_domain, MatrixLabels)
     exact = not matrix_labels or v.label_domain.dim == 2
     if exact:
         if not automaton_nonempty(v, checked=args.checked):
-            _emit(args, ["EMPTY"], {"answer": "empty", "witness": None})
-            return 1
+            return 1, ["EMPTY"], {"answer": "empty", "witness": None}
         if matrix_labels:
             v = prune_noninvertible(v)
-    witness = shortest_accepted_string(v, max_len=args.witness_len, register_cap=cap)
-    if witness is not None:
-        lines = [f"NONEMPTY: witness {witness!r}"]
-    elif exact:
-        lines = ["NONEMPTY (no witness found within the search bounds)"]
-    else:
-        dim = v.label_domain.dim
-        _emit(args, [f"UNKNOWN: no exact emptiness procedure for {dim}x{dim} labels "
-                     "and bounded search found no witness"],
-              {"answer": "unknown", "witness": None})
-        return 2
-    _emit(args, lines, {"answer": "nonempty", "witness": witness})
-    return 0
+    found = shortest_accepted_string(v, max_len=args.witness_len, register_cap=cap)
+    if found is not None:
+        # joined when every symbol is one character, else the symbol list
+        witness = "".join(found) if all(len(s) == 1 for s in v.alphabet) else list(found)
+        return 0, [f"NONEMPTY: witness {witness!r}"], {"answer": "nonempty", "witness": witness}
+    if exact:
+        return (0, ["NONEMPTY (no witness found within the search bounds)"],
+                {"answer": "nonempty", "witness": None})
+    dim = v.label_domain.dim
+    return (2, [f"UNKNOWN: no exact emptiness procedure for {dim}x{dim} labels "
+                "and bounded search found no witness"],
+            {"answer": "unknown", "witness": None})
 
 
-def cmd_convert(args) -> int:
+def cmd_convert(args) -> Answer:
     v = parse_automaton(_read(args.automaton))
     if isinstance(v.label_domain, MatrixLabels):
         if v.label_domain.dim != 2:
-            print(
-                f"cannot convert: no finite-index free-subgroup table for "
-                f"{v.label_domain.dim}x{v.label_domain.dim} labels",
-                file=sys.stderr,
-            )
-            return 2
+            print(f"cannot convert: no finite-index free-subgroup table for "
+                  f"{v.label_domain.dim}x{v.label_domain.dim} labels", file=sys.stderr)
+            return 2, [], {}
         v = to_free_group_automaton(prune_noninvertible(v), default_coset_table())
     out = format_automaton(v)
-    if args.output:
-        try:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(out)
-        except OSError as exc:
-            print(f"matdecide: {args.output}: {exc.strerror or exc}", file=sys.stderr)
-            return EX_CANTCREAT
-    else:
-        sys.stdout.write(out)
-    return 0
+    if not args.output:
+        return 0, out.splitlines(), {}
+    try:
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.write(out)
+    except OSError as exc:
+        print(f"matdecide: {args.output}: {exc.strerror or exc}", file=sys.stderr)
+        return EX_CANTCREAT, [], {}
+    return 0, [], {}
 
 
-def cmd_search(args) -> int:
+def cmd_search(args) -> Answer:
     y = parse_matrix(_read(args.target))
-    gens = parse_matrix_list(_read(args.gens))
-    if not gens:
-        raise FormatError("search: generator list is empty")
-    if args.group:
-        witness = group_word_search(y, gens, args.max_len)
-    else:
-        witness = membership_bounded(y, gens, args.max_len)
+    gens = _gens(args)
+    search = group_word_search if args.group else membership_bounded
+    witness = search(y, gens, args.max_len)
     if witness is not None:
-        _emit(args, [f"found: {_witness_str(witness)}"],
-              {"answer": "found", "witness": list(witness)})
-        return 0
-    _emit(args, [f"not found within length {args.max_len}"],
-          {"answer": "not-found", "witness": None})
-    return 2
+        return 0, [f"found: {_witness_str(witness)}"], {"answer": "found", "witness": list(witness)}
+    return (2, [f"not found within length {args.max_len}"],
+            {"answer": "not-found", "witness": None})
+
+
+# The options that several commands share, each defined once.
+_SHARED = {
+    "--target": dict(required=True, help="file with one matrix"),
+    "--gens": dict(required=True, help="file with a matrix list"),
+    "--bounded": dict(type=_length_bound, metavar="K",
+                      help="force bounded product search up to length K"),
+    "--checked": dict(action="store_true", help="cross-check both emptiness engines"),
+}
 
 
 @functools.lru_cache(maxsize=1)
@@ -268,75 +265,46 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="matdecide", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument(
-            "--format",
-            choices=("text", "structured"),
-            default="text",
-            help="output style: human text lines or one JSON object",
-        )
+    def command(name, func, help, *shared):
+        p = sub.add_parser(name, help=help)
+        for flag in shared:
+            p.add_argument(flag, **_SHARED[flag])
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("factor", help="factor a 2x2 matrix in the Sanov subgroup")
+    p = command("factor", cmd_factor, "factor a 2x2 matrix in the Sanov subgroup")
     p.add_argument("matrix", nargs="?", help="matrix as nested JSON arrays of decimal strings")
     p.add_argument("--file", help="read the matrix from a file instead")
-    common(p)
-    p.set_defaults(func=cmd_factor)
-
-    p = sub.add_parser("cosets", help="print the coset representatives of the Sanov subgroup")
-    common(p)
-    p.set_defaults(func=cmd_cosets)
-
-    p = sub.add_parser("member", help="is the target in the group generated by the generators?")
-    p.add_argument("--target", required=True, help="file with one matrix")
-    p.add_argument("--gens", required=True, help="file with a matrix list")
-    p.add_argument("--bounded", type=_length_bound, metavar="K",
-                   help="force bounded product search up to length K")
-    p.add_argument("--checked", action="store_true",
-                   help="cross-check both emptiness engines")
-    common(p)
-    p.set_defaults(func=cmd_member)
-
-    p = sub.add_parser("identity", help="does a product of generators equal the identity?")
-    p.add_argument("--gens", required=True, help="file with a matrix list")
-    p.add_argument("--bounded", type=_length_bound, metavar="K",
-                   help="force bounded product search up to length K")
-    p.add_argument("--checked", action="store_true",
-                   help="cross-check both emptiness engines")
-    common(p)
-    p.set_defaults(func=cmd_identity)
-
-    p = sub.add_parser("empty", help="decide emptiness of an automaton file")
+    command("cosets", cmd_cosets, "print the coset representatives of the Sanov subgroup")
+    command("member", cmd_member, "is the target in the group generated by the generators?",
+            "--target", "--gens", "--bounded", "--checked")
+    command("identity", cmd_identity, "does a product of generators equal the identity?",
+            "--gens", "--bounded", "--checked")
+    p = command("empty", cmd_empty, "decide emptiness of an automaton file", "--checked")
     p.add_argument("automaton", help="automaton JSON file")
-    p.add_argument("--checked", action="store_true",
-                   help="cross-check both emptiness engines")
     p.add_argument("--witness-len", type=_length_bound, default=8,
                    help="max input length for witness extraction")
-    common(p)
-    p.set_defaults(func=cmd_empty)
-
-    p = sub.add_parser("convert", help="convert 2x2 matrix labels to free-word labels")
+    p = command("convert", cmd_convert, "convert 2x2 matrix labels to free-word labels")
     p.add_argument("automaton", help="automaton JSON file")
     p.add_argument("-o", "--output", help="write to this file instead of stdout")
-    common(p)
-    p.set_defaults(func=cmd_convert)
-
-    p = sub.add_parser("search", help="bounded product search (any dimension)")
-    p.add_argument("--target", required=True, help="file with one matrix")
-    p.add_argument("--gens", required=True, help="file with a matrix list")
+    p.set_defaults(format="text")  # the document is the only output
+    p = command("search", cmd_search, "bounded product search (any dimension)",
+                "--target", "--gens")
     p.add_argument("--max-len", type=_length_bound, default=DEFAULT_DEPTH)
     p.add_argument("--group", action="store_true",
                    help="search words over generators and their inverses")
-    common(p)
-    p.set_defaults(func=cmd_search)
 
+    for name, p in sub.choices.items():
+        if name != "convert":
+            p.add_argument("--format", choices=("text", "structured"), default="text",
+                           help="output style: human text lines or one JSON object")
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return _emit(args, args.func(args))
     except ValueError as exc:  # FormatError included
         print(f"matdecide: {exc}", file=sys.stderr)
         return EX_DATAERR

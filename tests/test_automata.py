@@ -270,7 +270,7 @@ def test_prune_preserves_definitive_answers(rng):
 
 def test_shortest_accepted_string():
     v = build_membership_automaton(A, [A_INV])
-    assert shortest_accepted_string(v) == "aa"
+    assert shortest_accepted_string(v) == ("a", "a")
     v2 = build_membership_automaton(A, [B])
     assert shortest_accepted_string(v2, max_len=4, register_cap=10**4) is None
 
@@ -280,7 +280,7 @@ def shortlex_reference(v: ValenceAutomaton, max_len: int, register_cap: int):
     alphabet that bounded_accepts accepts, each candidate searched afresh."""
     for s in all_strings(v.alphabet, max_len):
         if bounded_accepts(v, s, register_cap) is ACCEPT:
-            return "".join(s)
+            return tuple(s)
     return None
 
 
@@ -320,8 +320,8 @@ def test_search_over_runs_keys_inputs_by_symbols():
     assert bounded_accepts(v, ("ab", "a")) is ACCEPT
     assert bounded_accepts(v, ("a", "ab")) is SimResult.NO
     assert bounded_accepts(v, ("ab",)) is SimResult.NO
-    assert shortest_accepted_string(v, max_len=2) == "aba"
-    assert shortlex_reference(v, 2, 4) == "aba"
+    assert shortest_accepted_string(v, max_len=2) == ("ab", "a")
+    assert shortlex_reference(v, 2, 4) == ("ab", "a")
     assert shortest_accepted_string(v, max_len=1) is None
 
 

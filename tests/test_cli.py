@@ -18,10 +18,12 @@ from matdecide.automata import (
     Edge,
     MatrixLabels,
     ValenceAutomaton,
+    WordLabels,
     build_identity_automaton,
     build_membership_automaton,
 )
 from matdecide.matrix import IntMatrix
+from matdecide.words import FreeWord
 
 from conftest import A, A_INV, B, B_INV, J, S, T
 
@@ -489,6 +491,13 @@ def _block3(m: IntMatrix) -> IntMatrix:
 
 _MEMBER_SUFFIX = " (signed generator indices, negative = inverse)"
 _SINGULAR = IntMatrix([[2, 0], [0, 1]])
+_X = FreeWord([1], 2)
+# symbols of two characters and of one: the witness is a list of symbols,
+# since the joined "aaa" would not say which input was read
+_TWO_CHAR_SYMBOL = ValenceAutomaton(
+    ("p", "q", "r"), ("aa", "a"), WordLabels(2),
+    [Edge("p", "aa", _X, "q"), Edge("q", "a", _X.inverse(), "r")], "p", ("r",),
+)
 
 
 @pytest.mark.parametrize(
@@ -550,6 +559,11 @@ _SINGULAR = IntMatrix([[2, 0], [0, 1]])
             '{"answer": "nonempty", "command": "empty", "witness": null}',
             id="empty-nonempty-no-witness"),
         pytest.param(
+            ["empty", _Input(format_automaton(_TWO_CHAR_SYMBOL))],
+            0, "NONEMPTY: witness ['aa', 'a']",
+            '{"answer": "nonempty", "command": "empty", "witness": ["aa", "a"]}',
+            id="empty-nonempty-symbol-list"),
+        pytest.param(
             ["empty", _Input(format_automaton(build_identity_automaton([_block3(A)])))],
             2, "UNKNOWN: no exact emptiness procedure for 3x3 labels "
                "and bounded search found no witness",
@@ -580,6 +594,41 @@ def test_every_answer_kind_in_both_formats(capsys, files, argv, code, text, stru
     got = run(capsys, *argv, "--format", "structured")
     assert got[:2] == (code, structured + "\n")
     assert json.loads(got[1])["command"] == argv[0]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["factor", '[["5","2"],["2","1"]]'],
+        ["cosets"],
+        ["member", "--target", _Input(format_matrix(A * B)), "--gens", _mats(A, B)],
+        ["identity", "--gens", _mats(A, A_INV)],
+        ["empty", _Input(format_automaton(build_membership_automaton(A, [A_INV])))],
+        ["convert", _Input(format_automaton(build_membership_automaton(A, [B])))],
+        ["search", "--target", _Input(format_matrix(A * B_INV)), "--gens", _mats(A, B),
+         "--group"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_commands_return_their_answer_and_main_writes_it(capsys, files, argv):
+    argv = [files(f"in{i}.json", a) if isinstance(a, _Input) else a for i, a in enumerate(argv)]
+    args = cli._build_parser().parse_args(argv)
+    code, lines, fields = args.func(args)
+    assert capsys.readouterr().out == ""
+    assert isinstance(code, int) and all(isinstance(line, str) for line in lines)
+    assert run(capsys, *argv)[:2] == (code, "".join(f"{line}\n" for line in lines))
+    if argv[0] != "convert":  # convert writes only its document
+        structured = json.dumps({"command": argv[0], **fields}, sort_keys=True) + "\n"
+        assert run(capsys, *argv, "--format", "structured")[:2] == (code, structured)
+
+
+def test_convert_takes_no_format_option(capsys, files):
+    path = files("a.json", format_automaton(build_membership_automaton(A, [B])))
+    with pytest.raises(SystemExit) as exc:
+        main(["convert", path, "--format", "structured"])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (64, "")
+    assert "--format" in err
 
 
 @pytest.mark.parametrize("entry", ['"1{}"', "1{}"], ids=["string", "bare"])
