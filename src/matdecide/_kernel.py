@@ -52,49 +52,78 @@ def _closure_rows(
 ) -> list[int]:
     """Rows of the closure as bitsets: bit q of row p is set iff R(p,q).
 
-    Every bit set along the way is a pair of R, so the worklist may stop as
-    soon as row `initial` meets the bitset `targets`; the rows are then
-    partial. With no targets, the default, it runs to the full fixpoint.
+    Every row starts with its reflexive bit. Each pair enters the FIFO
+    worklist once, when its bit is set; a reflexive pair (p,p) is queued only
+    where an edge into p can wrap around an edge out of p, since popping any
+    other one derives nothing. Every bit set along the way is a pair of R, so
+    the worklist may stop as soon as row `initial` meets the bitset
+    `targets`; the rows are then partial. With no targets, the default, it
+    runs to the full fixpoint.
     """
-    fwd = [0] * n_states  # row p: the q with R(p,q)
-    bwd = [0] * n_states  # column q: the p with R(p,q)
-    in_by_dst: list[list[tuple[int, int]]] = [[] for _ in range(n_states)]  # dst -> [(letter, src)]
-    out_by: dict[tuple[int, int], list[int]] = {}  # (src, letter) -> [dst]
+    unit = [1 << p for p in range(n_states)]
+    fwd = unit[:]  # row p: the q with R(p,q)
+    bwd = unit[:]  # column q: the p with R(p,q)
+    out: dict[int, list[int]] = {}  # letter y -> row q: the v with q -y-> v
     work: deque[tuple[int, int]] = deque()
-
-    def add(p: int, q: int) -> None:
-        if not fwd[p] >> q & 1:
-            fwd[p] |= 1 << q
-            bwd[q] |= 1 << p
-            work.append((p, q))
-
     for src, letter, dst in edges:
-        if letter == 0:
-            add(src, dst)
-        else:
-            in_by_dst[dst].append((letter, src))
-            out_by.setdefault((src, letter), []).append(dst)
-    for p in range(n_states):
-        add(p, p)
+        if letter:
+            row = out.get(letter)
+            if row is None:
+                row = out[letter] = [0] * n_states
+            succ = row[src]  # a row with one successor shares its unit bitset
+            row[src] = succ | unit[dst] if succ else unit[dst]
+        elif not fwd[src] & unit[dst]:
+            fwd[src] |= unit[dst]
+            bwd[dst] |= unit[src]
+            work.append((src, dst))
+    # wraps[p]: (u, out[-x]) for every edge u -x-> p whose inverse letter
+    # occurs; R(p,q) then gives R(u,v) for every v in out[-x][q]
+    wraps: list[list[tuple[int, list[int]]]] = [[] for _ in range(n_states)]
+    seeds: set[int] = set()
+    for src, letter, dst in edges:
+        row = out.get(-letter)
+        if row is not None:
+            wraps[dst].append((src, row))
+            if row[dst]:
+                seeds.add(dst)
+    work.extend((p, p) for p in sorted(seeds))
 
+    popleft, append = work.popleft, work.append
     while work and not fwd[initial] & targets:
-        p, q = work.popleft()
-        for letter, u in in_by_dst[p]:
-            for v in out_by.get((q, -letter), ()):
-                add(u, v)
+        p, q = popleft()
+        for u, row in wraps[p]:
+            # new = row[q] & ~fwd[u], without complementing a long row
+            new = row[q]
+            new ^= new & fwd[u]
+            if new:
+                fwd[u] |= new
+                bit = unit[u]
+                while new:
+                    v = new.bit_length() - 1
+                    bwd[v] |= bit
+                    append((u, v))
+                    new ^= unit[v]
         # transitivity on both sides: R(q,r) gives R(p,r), R(o,p) gives R(o,q)
-        new = fwd[q] & ~fwd[p]
+        new = fwd[q]
+        new ^= new & fwd[p]
         if new:
             fwd[p] |= new
-            for r in _bits(new):
-                bwd[r] |= 1 << p
-                work.append((p, r))
-        new = bwd[p] & ~bwd[q]
+            bit = unit[p]
+            while new:
+                r = new.bit_length() - 1
+                bwd[r] |= bit
+                append((p, r))
+                new ^= unit[r]
+        new = bwd[p]
+        new ^= new & bwd[q]
         if new:
             bwd[q] |= new
-            for o in _bits(new):
-                fwd[o] |= 1 << q
-                work.append((o, q))
+            bit = unit[q]
+            while new:
+                o = new.bit_length() - 1
+                fwd[o] |= bit
+                append((o, q))
+                new ^= unit[o]
 
     return fwd
 

@@ -39,7 +39,7 @@ from matdecide.formats import (
     parse_matrix,
     parse_matrix_list,
 )
-from matdecide.matrix import IntMatrix
+from matdecide.matrix import IntMatrix, _generator_dim
 from matdecide.oracle import DEFAULT_DEPTH, group_word_search
 from matdecide.sanov import default_coset_table, factor_in_sanov
 
@@ -128,11 +128,13 @@ def _witness_str(seq: Sequence[int]) -> str:
     return " ".join(str(i) for i in seq) or "(empty product)"
 
 
-def _bounded_report(witness: Optional[Sequence[int]], bound: int, miss: str) -> Answer:
-    """Answer of a bounded product search: a witness, or unknown at the bound,
-    where miss says what no product of length <= bound did."""
+def _bounded_report(witness: Optional[Sequence[int]], bound: int, miss: str,
+                    suffix: str = "") -> Answer:
+    """Answer of a bounded product search: a witness (text followed by
+    suffix), or unknown at the bound, where miss says what no product of
+    length <= bound did."""
     if witness is not None:
-        return (0, [f"yes: witness {_witness_str(witness)}"],
+        return (0, [f"yes: witness {_witness_str(witness)}{suffix}"],
                 {"answer": "yes", "witness": list(witness), "bound": bound})
     return (2, [f"unknown: no product of length <= {bound} {miss} "
                 "(absence at the bound proves nothing)"],
@@ -165,18 +167,28 @@ def _unimodular_witness(
     return tuple(positions[abs(s) - 1] * (1 if s > 0 else -1) for s in found)
 
 
+_SIGNED = " (signed generator indices, negative = inverse)"
+
+
 def cmd_member(args) -> Answer:
     y = parse_matrix(_read(args.target))
     gens = _gens(args)
     if args.bounded is not None or y.n != 2:
         bound = args.bounded if args.bounded is not None else DEFAULT_DEPTH
+        if y.is_unimodular():
+            # words over the unimodular generators and their inverses; I is
+            # the empty product, as in the exact case
+            _generator_dim(gens, y)
+            witness = () if y.is_identity() else _unimodular_witness(
+                gens, lambda us: group_word_search(y, us, bound))
+            return _bounded_report(witness, bound, "matches", _SIGNED)
         return _bounded_report(membership_bounded(y, gens, bound), bound, "matches")
     decision = decide_subgroup_membership(y, gens, checked=args.checked)
     witness = None
     if decision.answer:  # I is the empty product, also with no unimodular generator
         witness = () if y.is_identity() else _unimodular_witness(
             gens, lambda us: group_word_search(y, us, DEFAULT_DEPTH))
-    return _decision_report(decision, witness, " (signed generator indices, negative = inverse)")
+    return _decision_report(decision, witness, _SIGNED)
 
 
 def cmd_identity(args) -> Answer:

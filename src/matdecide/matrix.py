@@ -155,6 +155,9 @@ class IntMatrix:
         )
 
     def max_abs_entry(self) -> int:
+        if self.n == 2:
+            (a, b), (c, d) = self.entries
+            return max(abs(a), abs(b), abs(c), abs(d))
         return max(abs(x) for row in self.entries for x in row)
 
     def is_identity(self) -> bool:

@@ -288,10 +288,13 @@ def test_search_over_runs_agrees_with_the_per_candidate_search(rng, moves):
     # caps small enough that neither search reaches the configuration budget:
     # a search that makes fewer moves than the budget never stops at it, and
     # then both searches see every run under the cap
+    counts = []
+
     def bounded(search, *args):
         moves[0] = 0
         result = search(*args)
         assert moves[0] < DEFAULT_CONFIG_BUDGET
+        counts.append(moves[0])
         return result
 
     machines = [(random_matrix_automaton(rng), 20) for _ in range(30)]
@@ -305,6 +308,8 @@ def test_search_over_runs_agrees_with_the_per_candidate_search(rng, moves):
             assert len(witness) <= 3
             assert bounded_accepts(v, witness, cap) is ACCEPT
     assert 0 < found < len(machines)
+    # the budget check above means nothing unless the fixture counts moves
+    assert any(counts)
 
 
 def test_search_over_runs_keys_inputs_by_symbols():

@@ -124,11 +124,41 @@ def test_member_checked_flag(capsys, files):
 
 
 def test_member_bounded_mode(capsys, files):
-    target = files("y.json", format_matrix(A_INV))
     gens = files("gens.json", format_matrix_list([A]))
+    target = files("y.json", format_matrix(B))
     code, out, _ = run(capsys, "member", "--target", target, "--gens", gens, "--bounded", "4")
     assert code == 2
     assert "unknown" in out
+    # the bounded search runs over the group, so inverses count
+    target = files("y.json", format_matrix(A_INV))
+    code, out, _ = run(capsys, "member", "--target", target, "--gens", gens, "--bounded", "4")
+    assert (code, out) == (0, "yes: witness -1 (signed generator indices, negative = inverse)\n")
+
+
+@pytest.mark.parametrize("target, gens, argv, witness", [
+    ([[1, -20], [0, 1]], [[[1, 2], [0, 1]]], ["--bounded", "12"], [-1] * 10),
+    ([[1, 1, 0], [0, 1, 0], [0, 0, 1]], [[[1, -1, 0], [0, 1, 0], [0, 0, 1]]],
+     ["--bounded", "5"], [-1]),
+    ([[1, 1, 0], [0, 1, 0], [0, 0, 1]], [[[1, -1, 0], [0, 1, 0], [0, 0, 1]]], [], [-1]),
+    # a singular generator cannot be a factor of a unimodular target
+    ([[1, -4], [0, 1]], [[[2, 0], [0, 0]], [[1, 2], [0, 1]]], ["--bounded", "3"], [-2, -2]),
+    ([[1, 0], [0, 1]], [[[2, 0], [0, 1]]], ["--bounded", "2"], []),
+])
+def test_member_bounded_searches_the_group(capsys, files, target, gens, argv, witness):
+    y = files("y.json", json.dumps(target))
+    g = files("gens.json", json.dumps(gens))
+    code, out, _ = run(capsys, "member", "--target", y, "--gens", g, *argv,
+                       "--format", "structured")
+    assert code == 0
+    assert json.loads(out)["witness"] == witness
+
+
+def test_member_bounded_checks_dimensions_before_dropping_singular_generators(capsys, files):
+    y = files("y.json", format_matrix(A))
+    g = files("gens.json", json.dumps([[[1, 2], [0, 1]], [[0, 0, 0], [0, 0, 0], [0, 0, 0]]]))
+    code, out, err = run(capsys, "member", "--target", y, "--gens", g, "--bounded", "3")
+    assert (code, out) == (65, "")
+    assert "mixed dimensions" in err
 
 
 def test_member_dimension_mismatch_is_data_error(capsys, files):
@@ -426,6 +456,7 @@ def test_witness_search_pays_for_an_epsilon_loop_once(capsys, files, monkeypatch
         return moves[0]
 
     epsilon_moves = explored("0")
+    assert epsilon_moves > 0  # the fixture counts the search's moves
     # each letter move leaves one of the configurations that the epsilon
     # loop reaches, and each of those makes one epsilon move
     assert epsilon_moves <= explored("3") <= 2 * epsilon_moves
@@ -515,7 +546,7 @@ _TWO_CHAR_SYMBOL = ValenceAutomaton(
             'and emptiness of the membership machine"}',
             id="member-no"),
         pytest.param(
-            ["member", "--target", _Input(format_matrix(A_INV)), "--gens", _mats(A),
+            ["member", "--target", _Input(format_matrix(B)), "--gens", _mats(A),
              "--bounded", "4"],
             2, "unknown: no product of length <= 4 matches (absence at the bound proves nothing)",
             '{"answer": "unknown", "bound": 4, "command": "member", "witness": null}',

@@ -124,6 +124,62 @@ def test_dyck_nonempty_stops_at_the_goal_with_pairs_still_queued(monkeypatch):
     assert full_sets == reference_closure_rows(n, edges)
 
 
+def hop_graph(rng: random.Random) -> tuple[int, list[tuple[int, int, int]]]:
+    """A graph shaped like the emptiness pipeline's: between a few main states,
+    freely reduced labels split into one hop per letter through fresh
+    states, empty-label edges (self-loops included), and the letter 3, whose
+    inverse never occurs."""
+    n = rng.randint(1, 6)
+    main = n
+    edges = []
+    for _ in range(rng.randint(0, 12)):
+        src, dst = rng.randrange(main), rng.randrange(main)
+        word: list[int] = []
+        for _ in range(rng.randint(0, 4)):
+            x = rng.choice([1, -1, 2, -2, 3])
+            if not word or word[-1] != -x:
+                word.append(x)
+        if not word:
+            edges.append((src, 0, dst))
+            continue
+        hops = [src] + list(range(n, n + len(word) - 1)) + [dst]
+        n += len(word) - 1
+        edges += [(a, x, b) for a, x, b in zip(hops, word, hops[1:])]
+    for _ in range(rng.randint(0, 2)):
+        q = rng.randrange(main)
+        edges.append((q, 0, q))
+    rng.shuffle(edges)
+    return n, edges
+
+
+def test_dyck_matches_reference_on_hop_graphs():
+    rng = random.Random(1606)
+    for _ in range(200):
+        n, edges = hop_graph(rng)
+        ref = reference_closure_rows(n, edges)
+        rows = _kernel._closure_rows(n, edges)
+        assert [{q for q in range(n) if row >> q & 1} for row in rows] == ref, edges
+        initial = rng.randrange(n)
+        accepting = [q for q in range(n) if rng.random() < 0.2]
+        expected = any(q in ref[initial] for q in accepting)
+        assert _kernel.dyck_nonempty(n, edges, initial, accepting) == expected, edges
+
+
+def test_wraps_start_at_reflexive_pairs_and_use_every_in_edge():
+    # R(0,2) has one derivation, and it starts from the reflexive pair (1,1)
+    # wrapped by 0 -a-> 1 -a'-> 2.
+    edges = [(0, 1, 1), (1, -1, 2)]
+    assert _kernel._closure_rows(3, edges) == [0b101, 0b010, 0b100]
+    assert _kernel.dyck_nonempty(3, edges, 0, [2])
+    # State 2 has two in-edges, and each wraps around its own out-edge.
+    edges = [(0, 1, 2), (1, 2, 2), (2, -1, 3), (2, -2, 4)]
+    closure = _kernel.dyck_closure(5, edges)
+    assert {(0, 3), (1, 4)} <= closure and not {(0, 4), (1, 3)} & closure
+    assert closure == reference_closure(5, edges)
+    assert _kernel.dyck_nonempty(5, edges, 1, [4])
+    assert not _kernel.dyck_nonempty(5, edges, 1, [3])
+
+
 def test_dyck_matches_reference_larger_instance():
     rng = random.Random(99)
     n = 120

@@ -290,6 +290,11 @@ def test_closed_form_inverse_rejects_other_determinants(m):
     assert str(info.value) == "not invertible over the integers"
 
 
+@given(any_det_2x2)
+def test_closed_form_max_abs_entry_matches_the_entrywise_maximum(m):
+    assert m.max_abs_entry() == max(abs(x) for row in m.entries for x in row)
+
+
 @given(st.integers(1, 3).flatmap(lambda n: st.one_of(
     st.just(IntMatrix.identity(n)),
     st.lists(st.lists(st.sampled_from([0, 1, -1, 2]), min_size=n, max_size=n),
@@ -315,3 +320,4 @@ def test_other_dimensions_keep_the_general_path():
     with pytest.raises(ValueError, match="^not invertible over the integers$"):
         singular.inverse_unimodular()
     assert IntMatrix.identity(3).is_identity() and not m.is_identity()
+    assert m.max_abs_entry() == big and IntMatrix([[-7]]).max_abs_entry() == 7
