@@ -167,6 +167,17 @@ def _unimodular_witness(
     return tuple(positions[abs(s) - 1] * (1 if s > 0 else -1) for s in found)
 
 
+def _group_witness(
+    y: IntMatrix, gens: Sequence[IntMatrix], depth: int
+) -> Optional[tuple[int, ...]]:
+    """A word of length <= depth over the unimodular generators and their
+    inverses whose product is y, or None. I is the empty product, also with
+    no unimodular generator."""
+    if y.is_identity():
+        return ()
+    return _unimodular_witness(gens, lambda us: group_word_search(y, us, depth))
+
+
 _SIGNED = " (signed generator indices, negative = inverse)"
 
 
@@ -176,18 +187,11 @@ def cmd_member(args) -> Answer:
     if args.bounded is not None or y.n != 2:
         bound = args.bounded if args.bounded is not None else DEFAULT_DEPTH
         if y.is_unimodular():
-            # words over the unimodular generators and their inverses; I is
-            # the empty product, as in the exact case
             _generator_dim(gens, y)
-            witness = () if y.is_identity() else _unimodular_witness(
-                gens, lambda us: group_word_search(y, us, bound))
-            return _bounded_report(witness, bound, "matches", _SIGNED)
+            return _bounded_report(_group_witness(y, gens, bound), bound, "matches", _SIGNED)
         return _bounded_report(membership_bounded(y, gens, bound), bound, "matches")
     decision = decide_subgroup_membership(y, gens, checked=args.checked)
-    witness = None
-    if decision.answer:  # I is the empty product, also with no unimodular generator
-        witness = () if y.is_identity() else _unimodular_witness(
-            gens, lambda us: group_word_search(y, us, DEFAULT_DEPTH))
+    witness = _group_witness(y, gens, DEFAULT_DEPTH) if decision.answer else None
     return _decision_report(decision, witness, _SIGNED)
 
 

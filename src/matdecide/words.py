@@ -8,11 +8,33 @@ simulation sees only the reduced content.
 
 from __future__ import annotations
 
-from typing import Iterable
-
-from matdecide import _kernel
+from typing import Iterable, Sequence
 
 _NAMES = "abcdefghijklmnopqrstuvwxyz"
+
+
+def reduce_letters(letters: Iterable[int]) -> tuple[int, ...]:
+    """Freely reduce a letter sequence (cancel adjacent x, -x pairs)."""
+    out: list[int] = []
+    for x in letters:
+        if out and out[-1] == -x:
+            out.pop()
+        else:
+            out.append(x)
+    return tuple(out)
+
+
+def concat_reduce_letters(u: Sequence[int], v: Sequence[int]) -> tuple[int, ...]:
+    """Reduced concatenation of two already-reduced letter sequences.
+
+    Cancellation can only happen at the seam, so this is O(cancelled length).
+    """
+    i = len(u) - 1
+    j = 0
+    while i >= 0 and j < len(v) and u[i] == -v[j]:
+        i -= 1
+        j += 1
+    return tuple(u[: i + 1]) + tuple(v[j:])
 
 
 class FreeWord:
@@ -23,7 +45,7 @@ class FreeWord:
     def __init__(self, letters: Iterable[int] = (), rank: int = 2):
         if rank < 1:
             raise ValueError("rank must be >= 1")
-        reduced = _kernel.reduce_letters(tuple(int(x) for x in letters))
+        reduced = reduce_letters(tuple(int(x) for x in letters))
         for x in reduced:
             if x == 0 or abs(x) > rank:
                 raise ValueError(f"letter {x} out of range for rank {rank}")
@@ -48,7 +70,7 @@ class FreeWord:
     def concat(self, other: "FreeWord") -> "FreeWord":
         if self.rank != other.rank:
             raise ValueError(f"rank mismatch: {self.rank} vs {other.rank}")
-        reduced = _kernel.concat_reduce_letters(self.letters, other.letters)
+        reduced = concat_reduce_letters(self.letters, other.letters)
         return FreeWord.__new__(FreeWord)._set(reduced, self.rank)
 
     def __mul__(self, other: "FreeWord") -> "FreeWord":

@@ -1,5 +1,5 @@
-"""Word reduction and the identity-reachability closure, checked on examples
-and against a set-based reference closure."""
+"""The identity-reachability closure, checked on examples and against a
+set-based reference closure."""
 
 import random
 from collections import deque
@@ -7,7 +7,8 @@ from collections import deque
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matdecide import _kernel
+import matdecide
+from matdecide import pda
 
 
 def random_edges(rng: random.Random, n: int, m: int) -> list[tuple[int, int, int]]:
@@ -58,27 +59,35 @@ def reference_closure(n_states, edges):
     return {(p, q) for p in range(n_states) for q in fwd[p]}
 
 
-def test_reduce_examples():
-    assert _kernel.reduce_letters([1, -1]) == ()
-    assert _kernel.reduce_letters([1, 2, -2, -1, 1]) == (1,)
-    assert _kernel.concat_reduce_letters((1, 2), (-2, -1)) == ()
-    assert _kernel.concat_reduce_letters((1, 2), (2,)) == (1, 2, 2)
+def _bits(mask):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def dyck_closure(n_states, edges):
+    """The full closure as a set of pairs, read off `pda._closure_rows` with
+    no goal. The rows function is looked up at each call, so a test that
+    patches it sees this call too."""
+    fwd = pda._closure_rows(n_states, edges)
+    return {(p, q) for p in range(n_states) for q in _bits(fwd[p])}
 
 
 def test_dyck_closure_tiny():
     # 0 -a-> 1 -a'-> 2 wraps to give R(0,2); 3 is unreachable
     edges = [(0, 1, 1), (1, -1, 2)]
-    closure = _kernel.dyck_closure(4, edges)
+    closure = dyck_closure(4, edges)
     assert (0, 2) in closure
     assert (0, 1) not in closure
     assert all((p, p) in closure for p in range(4))
-    assert _kernel.dyck_nonempty(4, edges, 0, [2])
-    assert not _kernel.dyck_nonempty(4, edges, 0, [1])
+    assert pda.dyck_nonempty(4, edges, 0, [2])
+    assert not pda.dyck_nonempty(4, edges, 0, [1])
 
 
 def test_dyck_closure_epsilon_and_transitivity():
     edges = [(0, 0, 1), (1, 2, 2), (2, -2, 3), (3, 0, 4)]
-    closure = _kernel.dyck_closure(5, edges)
+    closure = dyck_closure(5, edges)
     assert (0, 4) in closure  # eps, wrap(b b'), eps, chained transitively
 
 
@@ -86,7 +95,7 @@ def test_dyck_closure_bounded_additions():
     rng = random.Random(11)
     n = 12
     edges = random_edges(rng, n, 30)
-    closure = _kernel.dyck_closure(n, edges)
+    closure = dyck_closure(n, edges)
     assert len(closure) <= n * n
 
 
@@ -95,11 +104,11 @@ def test_dyck_closure_bounded_additions():
 def test_dyck_matches_reference(n, m, seed):
     rng = random.Random(seed)
     edges = random_edges(rng, n, m)
-    assert _kernel.dyck_closure(n, edges) == reference_closure(n, edges)
+    assert dyck_closure(n, edges) == reference_closure(n, edges)
     initial = rng.randrange(n)
     accepting = [q for q in range(n) if rng.random() < 0.3]
     row = reference_closure_rows(n, edges)[initial]
-    assert _kernel.dyck_nonempty(n, edges, initial, accepting) == any(q in row for q in accepting)
+    assert pda.dyck_nonempty(n, edges, initial, accepting) == any(q in row for q in accepting)
 
 
 def test_dyck_nonempty_stops_at_the_goal_with_pairs_still_queued(monkeypatch):
@@ -109,15 +118,15 @@ def test_dyck_nonempty_stops_at_the_goal_with_pairs_still_queued(monkeypatch):
     edges += [(q, 1, q + 1) for q in range(3, 13)] + [(q, -1, q + 1) for q in range(13, 23)]
     n = 24
     rows = []
-    real = _kernel._closure_rows
+    real = pda._closure_rows
 
     def recording(*args):
         rows.append(real(*args))
         return rows[-1]
 
-    monkeypatch.setattr(_kernel, "_closure_rows", recording)
-    assert _kernel.dyck_nonempty(n, edges, 0, [2])
-    assert _kernel.dyck_closure(n, edges) == reference_closure(n, edges)
+    monkeypatch.setattr(pda, "_closure_rows", recording)
+    assert pda.dyck_nonempty(n, edges, 0, [2])
+    assert dyck_closure(n, edges) == reference_closure(n, edges)
     stopped, full = rows
     assert not stopped[3] >> 23 & 1 and full[3] >> 23 & 1
     full_sets = [{q for q in range(n) if row >> q & 1} for row in full]
@@ -157,36 +166,37 @@ def test_dyck_matches_reference_on_hop_graphs():
     for _ in range(200):
         n, edges = hop_graph(rng)
         ref = reference_closure_rows(n, edges)
-        rows = _kernel._closure_rows(n, edges)
+        rows = pda._closure_rows(n, edges)
         assert [{q for q in range(n) if row >> q & 1} for row in rows] == ref, edges
         initial = rng.randrange(n)
         accepting = [q for q in range(n) if rng.random() < 0.2]
         expected = any(q in ref[initial] for q in accepting)
-        assert _kernel.dyck_nonempty(n, edges, initial, accepting) == expected, edges
+        assert pda.dyck_nonempty(n, edges, initial, accepting) == expected, edges
 
 
 def test_wraps_start_at_reflexive_pairs_and_use_every_in_edge():
     # R(0,2) has one derivation, and it starts from the reflexive pair (1,1)
     # wrapped by 0 -a-> 1 -a'-> 2.
     edges = [(0, 1, 1), (1, -1, 2)]
-    assert _kernel._closure_rows(3, edges) == [0b101, 0b010, 0b100]
-    assert _kernel.dyck_nonempty(3, edges, 0, [2])
+    assert pda._closure_rows(3, edges) == [0b101, 0b010, 0b100]
+    assert pda.dyck_nonempty(3, edges, 0, [2])
     # State 2 has two in-edges, and each wraps around its own out-edge.
     edges = [(0, 1, 2), (1, 2, 2), (2, -1, 3), (2, -2, 4)]
-    closure = _kernel.dyck_closure(5, edges)
+    closure = dyck_closure(5, edges)
     assert {(0, 3), (1, 4)} <= closure and not {(0, 4), (1, 3)} & closure
     assert closure == reference_closure(5, edges)
-    assert _kernel.dyck_nonempty(5, edges, 1, [4])
-    assert not _kernel.dyck_nonempty(5, edges, 1, [3])
+    assert pda.dyck_nonempty(5, edges, 1, [4])
+    assert not pda.dyck_nonempty(5, edges, 1, [3])
 
 
 def test_dyck_matches_reference_larger_instance():
     rng = random.Random(99)
     n = 120
     edges = random_edges(rng, n, 400)
-    assert _kernel.dyck_closure(n, edges) == reference_closure(n, edges)
+    assert dyck_closure(n, edges) == reference_closure(n, edges)
 
 
 def test_selected_backend_exposes_contract():
-    assert _kernel.kernel_backend() in ("compiled", "pure")
-    assert _kernel.reduce_letters([1, -1]) == ()
+    # the two names the pipeline benchmark reads through matdecide._kernel
+    assert matdecide.kernel_backend() == "pure"
+    assert matdecide._kernel.dyck_nonempty is pda.dyck_nonempty

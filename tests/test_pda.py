@@ -139,7 +139,7 @@ def test_pda_emptiness_on_random_hop_machines(rng):
             (rng.randrange(4), None, rng.choice([0, 1, -1, 2, -2]), rng.randrange(4))
             for _ in range(rng.randint(1, 10))
         )
-        pda = Pda(4, (), 2, hops, 0, frozenset({3}))
+        pda = Pda(4, 2, hops, 0, frozenset({3}))
         if pda_bounded_accepts(pda, (), stack_cap=6):
             assert not pda_emptiness(pda), hops
             found += 1

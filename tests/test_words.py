@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from matdecide.words import FreeWord
+from matdecide.words import FreeWord, concat_reduce_letters, reduce_letters
 
 letters = st.lists(st.sampled_from([1, -1, 2, -2]), max_size=20)
 words = st.builds(lambda ls: FreeWord(ls, 2), letters)
@@ -10,6 +10,13 @@ words = st.builds(lambda ls: FreeWord(ls, 2), letters)
 
 def w(text: str) -> FreeWord:
     return FreeWord.from_text(text, 2)
+
+
+def test_reduce_examples():
+    assert reduce_letters([1, -1]) == ()
+    assert reduce_letters([1, 2, -2, -1, 1]) == (1,)
+    assert concat_reduce_letters((1, 2), (-2, -1)) == ()
+    assert concat_reduce_letters((1, 2), (2,)) == (1, 2, 2)
 
 
 def test_concat_examples():
