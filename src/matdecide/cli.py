@@ -15,7 +15,7 @@ import functools
 import json
 import os
 import sys
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Optional, Sequence
 
 from matdecide.automata import (
     MatrixLabels,
@@ -39,7 +39,7 @@ from matdecide.formats import (
     parse_matrix,
     parse_matrix_list,
 )
-from matdecide.matrix import IntMatrix, _generator_dim
+from matdecide.matrix import IntMatrix
 from matdecide.oracle import DEFAULT_DEPTH, group_word_search
 from matdecide.sanov import default_coset_table, factor_in_sanov
 
@@ -154,30 +154,6 @@ def _decision_report(decision: Decision, witness: Optional[Sequence[int]],
             {"answer": "yes", "witness": list(witness)})
 
 
-def _unimodular_witness(
-    gens: Sequence[IntMatrix], search: Callable[[list[IntMatrix]], Optional[tuple[int, ...]]]
-) -> Optional[tuple[int, ...]]:
-    """Run search on the unimodular generators only and map its signed letters
-    back to positions in gens; None when there are none or nothing is found.
-    A product with a singular factor is singular, so it is never a witness."""
-    positions = [i for i, g in enumerate(gens, start=1) if g.is_unimodular()]
-    found = search([gens[i - 1] for i in positions]) if positions else None
-    if found is None:
-        return None
-    return tuple(positions[abs(s) - 1] * (1 if s > 0 else -1) for s in found)
-
-
-def _group_witness(
-    y: IntMatrix, gens: Sequence[IntMatrix], depth: int
-) -> Optional[tuple[int, ...]]:
-    """A word of length <= depth over the unimodular generators and their
-    inverses whose product is y, or None. I is the empty product, also with
-    no unimodular generator."""
-    if y.is_identity():
-        return ()
-    return _unimodular_witness(gens, lambda us: group_word_search(y, us, depth))
-
-
 _SIGNED = " (signed generator indices, negative = inverse)"
 
 
@@ -187,11 +163,10 @@ def cmd_member(args) -> Answer:
     if args.bounded is not None or y.n != 2:
         bound = args.bounded if args.bounded is not None else DEFAULT_DEPTH
         if y.is_unimodular():
-            _generator_dim(gens, y)
-            return _bounded_report(_group_witness(y, gens, bound), bound, "matches", _SIGNED)
+            return _bounded_report(group_word_search(y, gens, bound), bound, "matches", _SIGNED)
         return _bounded_report(membership_bounded(y, gens, bound), bound, "matches")
     decision = decide_subgroup_membership(y, gens, checked=args.checked)
-    witness = _group_witness(y, gens, DEFAULT_DEPTH) if decision.answer else None
+    witness = group_word_search(y, gens, DEFAULT_DEPTH) if decision.answer else None
     return _decision_report(decision, witness, _SIGNED)
 
 
@@ -202,10 +177,7 @@ def cmd_identity(args) -> Answer:
         return _bounded_report(identity_in_semigroup_bounded(gens, bound), bound,
                                "equals the identity")
     decision = decide_identity_in_semigroup(gens, checked=args.checked)
-    witness = None
-    if decision.answer:
-        witness = _unimodular_witness(
-            gens, lambda us: identity_in_semigroup_bounded(us, DEFAULT_DEPTH))
+    witness = identity_in_semigroup_bounded(gens, DEFAULT_DEPTH) if decision.answer else None
     return _decision_report(decision, witness)
 
 

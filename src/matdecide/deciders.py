@@ -122,19 +122,27 @@ def membership_bounded(
 ) -> Optional[tuple[int, ...]]:
     """Search products of 1..max_len generators for one equal to y.
 
-    Returns the witness index sequence (1-based), shortest first and
+    When y is unimodular, singular generators are skipped: determinants
+    multiply, so a product equal to y has only unimodular factors. Returns
+    the witness as 1-based positions in gens, shortest first and
     lexicographically least among the shortest, or None when the bound is
     exhausted. None is not a proof of non-membership.
     """
     _generator_dim(gens, y)
-    for prod, witness in enumerate_products(gens, max_len):
+    singular_y = not y.is_unimodular()
+    positions = [i for i, g in enumerate(gens, start=1) if singular_y or g.is_unimodular()]
+    if not positions:
+        return None
+    for prod, witness in enumerate_products([gens[i - 1] for i in positions], max_len):
         if prod == y:
-            return witness
+            return tuple(positions[i - 1] for i in witness)
     return None
 
 
 def identity_in_semigroup_bounded(
     gens: Sequence[IntMatrix], max_len: int
 ) -> Optional[tuple[int, ...]]:
-    """Bounded witness search for the identity problem in any dimension."""
+    """Bounded witness search for the identity problem in any dimension: the
+    identity is unimodular, so membership_bounded skips singular generators
+    and numbers the witness by position in gens."""
     return membership_bounded(IntMatrix.identity(_generator_dim(gens)), gens, max_len)

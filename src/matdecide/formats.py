@@ -94,6 +94,8 @@ def _load_json(text: str) -> Any:
         raise FormatError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
     except ValueError:  # a bare integer over the digit limit
         raise FormatError(f"a number is over {_digit_limit()}") from None
+    except RecursionError:
+        raise FormatError("arrays or objects nested too deeply") from None
 
 
 def _domain_to_obj(domain: LabelDomain) -> dict[str, Any]:

@@ -44,24 +44,27 @@ def group_word_search(
     y: IntMatrix, gens: Sequence[IntMatrix], max_len: int = DEFAULT_DEPTH
 ) -> Optional[tuple[int, ...]]:
     """Search words over the generators and their exact inverses for one whose
-    product is y. Witness letters are signed 1-based indices (-i inverts
-    generator i); the empty tuple witnesses y = I. None means the bound was
-    exhausted, not non-membership.
+    product is y. Generators without an integer inverse (determinant not
+    +-1) are skipped. Witness letters are signed 1-based positions in gens
+    (-i inverts generator i), so a skipped generator keeps its index; the
+    empty tuple witnesses y = I, also when every generator is skipped. None
+    means the bound was exhausted, not non-membership.
 
     The witness is the shortest such word and, among the shortest, the
     lexicographically least over the symbol order [g1, g1^-1, g2, g2^-1, ...].
     """
     _generator_dim(gens, y)
-    for g in gens:
-        if not g.is_unimodular():
-            raise ValueError("group search requires unimodular generators")
     identity = IntMatrix.identity(y.n)
     if y == identity:
         return ()
-    # Interleaved [g1, g1^-1, g2, g2^-1, ...]: 0-based symbol j is generator
-    # j // 2 + 1 when j is even and its inverse when j is odd, and j ^ 1 is
-    # the inverse symbol of j.
-    symbols = [m for g in gens for m in (g, g.inverse_unimodular())]
+    # Interleaved [g1, g1^-1, g2, g2^-1, ...] over the unimodular generators:
+    # 0-based symbol j is letters[j], and j ^ 1 is the inverse symbol of j.
+    symbols: list[IntMatrix] = []
+    letters: list[int] = []
+    for i, g in enumerate(gens, start=1):
+        if g.is_unimodular():
+            symbols += (g, g.inverse_unimodular())
+            letters += (i, -i)
     # layers[t]: product of each word of exactly t symbols -> (the least such
     # word, the inverse of the product). Extending layer t-1 in order, symbol
     # by symbol, meets every product first through its least word, so each
@@ -90,6 +93,5 @@ def group_word_search(
         for word, inv in layer((length + 1) // 2).values():
             hit = right.get(inv * y)
             if hit is not None:
-                return tuple(j // 2 + 1 if j % 2 == 0 else -(j // 2 + 1)
-                             for j in word + hit[0])
+                return tuple(letters[j] for j in word + hit[0])
     return None

@@ -185,7 +185,6 @@ class Pda:
     empty stack, starting from an empty stack. States are 0..n_states-1."""
 
     n_states: int
-    stack_rank: int  # stack alphabet is the signed letters +-1..+-rank
     hops: tuple[tuple[int, Optional[str], int, int], ...]  # (src, symbol, letter, dst)
     initial: int
     accepting: frozenset[int]
@@ -199,7 +198,6 @@ def from_free_automaton(v: ValenceAutomaton) -> Pda:
     idx, n_states, hops, symbols = _split_hops(v, v.states)
     return Pda(
         n_states=n_states,
-        stack_rank=v.label_domain.rank,
         hops=tuple((s, sym, x, d) for (s, x, d), sym in zip(hops, symbols)),
         initial=idx[v.initial],
         accepting=frozenset(idx[q] for q in v.accepting),
@@ -210,10 +208,12 @@ def pda_emptiness(p: Pda) -> bool:
     """Exact emptiness by predecessor-set saturation (true = language empty).
 
     Input symbols do not constrain reachability, so they are projected away.
-    Hops become top-of-stack rewrite rules over the signed letters plus a
-    bottom marker; a finite automaton over stack contents, seeded with the
-    accepting empty-stack configurations, is saturated until it recognizes
-    every configuration that can reach one. The language is nonempty iff the
+    Hops become top-of-stack rewrite rules over a bottom marker and the
+    letters the hops push; a run from the initial configuration never holds
+    another letter, so the tables grow with the hops, not with the word
+    rank. A finite automaton over stack contents, seeded with the accepting
+    empty-stack configurations, is saturated until it recognizes every
+    configuration that can reach one. The language is nonempty iff the
     initial configuration (initial state, bare bottom marker) is recognized.
 
     The configuration automaton is held as one bitset per (state, stack
@@ -223,16 +223,17 @@ def pda_emptiness(p: Pda) -> bool:
     to. Only the bits a set gains are passed on, and the saturation stops
     once the initial configuration is recognized.
     """
-    # the bottom marker sits at position 0, letter x > 0 at 2x - 1 and -x at 2x
-    width = 2 * p.stack_rank + 1
+    # position of each stack symbol: the bottom marker (key 0) first, then
+    # every letter a hop pushes, in order of first use
+    pos = {0: 0}
+    for _, _, letter, _ in p.hops:
+        pos.setdefault(letter, len(pos))
+    width = len(pos)
     tops = range(width)
-
-    def pos(x: int) -> int:
-        return 2 * x - 1 if x > 0 else -2 * x
 
     fin = 1 << p.n_states  # unique final node of the configuration automaton
 
-    # set v = q * width + pos(sym): the nodes read from q on sym
+    # set v = q * width + pos[sym]: the nodes read from q on sym
     n_sets = p.n_states * width
     reach = [0] * n_sets
     unsent = [0] * n_sets  # bits of reach[v] not yet passed on
@@ -255,9 +256,10 @@ def pda_emptiness(p: Pda) -> bool:
             for top in tops:
                 supersets[dst_set + top].append(src_set + top)
             continue
-        inverse = pos(-letter)
-        grow(src_set + inverse, 1 << dst)  # pop: the top is the inverse letter
-        pushed = pushes[dst_set + pos(letter)]
+        inverse = pos.get(-letter)  # None when no hop pushes the inverse
+        if inverse is not None:
+            grow(src_set + inverse, 1 << dst)  # pop: the top is the inverse letter
+        pushed = pushes[dst_set + pos[letter]]
         for top in tops:
             if top != inverse:  # push on any other top, the bottom marker too
                 pushed.append((src_set + top, top))

@@ -111,7 +111,6 @@ class CosetTable:
     """
 
     reps: tuple[IntMatrix, ...]
-    gl2_generators: tuple[IntMatrix, ...]
     rep_invs: tuple[IntMatrix, ...] = field(init=False, repr=False, compare=False)
     residues: Mapping[tuple[int, int, int, int], int] = field(
         init=False, repr=False, compare=False
@@ -125,7 +124,7 @@ class CosetTable:
         object.__setattr__(self, "residues", MappingProxyType(residues))
 
     def __reduce__(self):
-        return (CosetTable, (self.reps, self.gl2_generators))
+        return (CosetTable, (self.reps,))
 
     @property
     def size(self) -> int:
@@ -173,7 +172,7 @@ def build_coset_table() -> CosetTable:
                 next_frontier.append(len(reps))
                 reps.append(cand)
         frontier = next_frontier
-    return CosetTable(reps=tuple(reps), gl2_generators=gens)
+    return CosetTable(reps=tuple(reps))
 
 
 @lru_cache(maxsize=1)

@@ -54,10 +54,15 @@ def test_factor_non_member(capsys):
     assert (code, out) == (1, "not a member\n")
 
 
-def test_factor_malformed(capsys):
+def test_factor_malformed(capsys, tmp_path):
     code, _, err = run(capsys, "factor", "[[1,2]")
     assert code == 65
     assert "line 1" in err
+    code, out, err = run(capsys, "factor")
+    assert (code, out) == (65, "") and "--file" in err
+    missing = str(tmp_path / "absent.json")
+    code, out, err = run(capsys, "factor", "--file", missing)
+    assert (code, out) == (65, "") and missing in err
 
 
 def test_factor_structured(capsys):
@@ -260,8 +265,10 @@ def test_empty_4x4_is_bounded_only(capsys, files):
 def test_register_cap_env(capsys, files, monkeypatch):
     v = build_membership_automaton(A, [A_INV])
     path = files("aut.json", format_automaton(v))
-    monkeypatch.setenv("MATDECIDE_REGISTER_CAP", "not-a-number")
-    assert run(capsys, "empty", path)[0] == 65
+    for bad in ("not-a-number", "0"):
+        monkeypatch.setenv("MATDECIDE_REGISTER_CAP", bad)
+        code, out, err = run(capsys, "empty", path)
+        assert (code, out) == (65, "") and "MATDECIDE_REGISTER_CAP" in err
     monkeypatch.setenv("MATDECIDE_REGISTER_CAP", "1000")
     assert run(capsys, "empty", path)[0] == 0
 
@@ -393,8 +400,22 @@ def test_negative_bounds_exit_64(capsys, files, option):
         ("edges[0].dst", lambda doc: doc["edges"][0].update(dst=7)),
         ("initial", lambda doc: doc.update(initial=["q1"])),
         ("accepting", lambda doc: doc["accepting"].append(["q2"])),
+        ("states", lambda doc: doc["states"].append(3)),
+        ("alphabet", lambda doc: doc.update(alphabet="a")),
+        ("label_domain", lambda doc: doc.update(label_domain="matrix")),
+        ("edges", lambda doc: doc.update(edges={})),
+        ("edges[1]", lambda doc: doc["edges"].__setitem__(1, "q2 -> q2")),
+        ("edges[0]: missing field 'label'", lambda doc: doc["edges"][0].pop("label")),
+        ("edges[0].input", lambda doc: doc["edges"][0].update(input=7)),
+        ("edges[0].label[0][1]", lambda doc: doc["edges"][0]["label"][0].__setitem__(1, True)),
+        ("edges[0].label[1]", lambda doc: doc["edges"][0]["label"].__setitem__(1, "0 1")),
+        ("accepting states", lambda doc: doc["accepting"].append("q3")),
+        ("edge endpoint", lambda doc: doc["edges"][1].update(dst="q3")),
+        ("edge symbol 'b'", lambda doc: doc["edges"][1].update(input="b")),
     ],
-    ids=["src", "dst", "initial", "accepting"],
+    ids=["src", "dst", "initial", "accepting", "states", "alphabet", "label-domain", "edges",
+         "edge", "edge-label-missing", "input", "boolean-entry", "row", "accepting-unknown",
+         "endpoint-unknown", "symbol-unknown"],
 )
 def test_non_string_state_names_exit_65(capsys, files, field, mutate):
     doc = json.loads(format_automaton(build_membership_automaton(A, [A_INV])))
@@ -563,6 +584,11 @@ _TWO_CHAR_SYMBOL = ValenceAutomaton(
             '{"answer": "yes", "command": "identity", "witness": [2, 3]}',
             id="identity-yes"),
         pytest.param(
+            ["identity", "--gens", _mats(_SINGULAR, A, A_INV), "--bounded", "3"],
+            0, "yes: witness 2 3",
+            '{"answer": "yes", "bound": 3, "command": "identity", "witness": [2, 3]}',
+            id="identity-bounded-yes"),
+        pytest.param(
             ["identity", "--gens", _mats(A, B)],
             1, "no: decided by coset conversion and emptiness of the identity machine",
             '{"answer": "no", "command": "identity", "reason": "decided by coset conversion '
@@ -611,6 +637,17 @@ _TWO_CHAR_SYMBOL = ValenceAutomaton(
             0, "found: (empty product)",
             '{"answer": "found", "command": "search", "witness": []}',
             id="search-empty-product"),
+        pytest.param(
+            ["search", "--target", _Input(format_matrix(IntMatrix.identity(2))),
+             "--gens", _mats(_SINGULAR), "--group"],
+            0, "found: (empty product)",
+            '{"answer": "found", "command": "search", "witness": []}',
+            id="search-empty-product-singular"),
+        pytest.param(
+            ["search", "--target", _Input(format_matrix(A_INV)), "--gens", _mats(_SINGULAR, A),
+             "--group"],
+            0, "found: -2", '{"answer": "found", "command": "search", "witness": [-2]}',
+            id="search-group-skips-singular"),
         pytest.param(
             ["search", "--target", _Input(format_matrix(A * B_INV)), "--gens", _mats(A, B),
              "--max-len", "4"],
@@ -673,3 +710,47 @@ def test_entries_over_the_digit_limit_are_malformed_input(capsys, files, entry):
     assert "set_int_max_str_digits" not in err
     if entry.startswith('"'):
         assert "matrix[0][0]" in err
+
+
+_DEEP = "[" * 100000 + "]" * 100000
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["factor", "--file", _Input(_DEEP)],
+     ["member", "--target", _Input(_DEEP), "--gens", _mats(A)],
+     ["empty", _Input(_DEEP)],
+     ["convert", _Input(_DEEP)]],
+    ids=lambda argv: argv[0],
+)
+def test_deeply_nested_json_is_malformed_input(capsys, files, argv):
+    argv = [files(f"in{i}.json", a) if isinstance(a, _Input) else a for i, a in enumerate(argv)]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (65, "")
+    assert err.count("\n") == 1 and "nested too deeply" in err
+
+
+def test_empty_checked_sizes_its_tables_by_the_letters_used(tmp_path):
+    """The word rank a document declares costs nothing: the pushdown engine's
+    tables follow the letters on the edges. Run in a child process under an
+    address-space limit, so that tables sized by the rank fail there with
+    MemoryError instead of taking the memory of the host."""
+    resource = pytest.importorskip("resource")
+    doc = {"states": ["p", "q"], "alphabet": ["x"],
+           "label_domain": {"kind": "word", "rank": "100000000"},
+           "initial": "p", "accepting": ["q"],
+           "edges": [{"src": "p", "input": "x", "label": "a a'", "dst": "q"}]}
+    path = tmp_path / "aut.json"
+    path.write_text(json.dumps(doc))
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = os.path.dirname(os.path.dirname(matdecide.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "matdecide.cli", "empty", "--checked", str(path)],
+        env={**os.environ, "PYTHONPATH": src}, preexec_fn=limit,
+        capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "NONEMPTY: witness 'x'\n", "")
+

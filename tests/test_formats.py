@@ -98,6 +98,19 @@ def test_automaton_field_errors():
             ' "initial": "p", "accepting": [], '
             '"edges": [{"src": "p", "input": "a", "label": "zz", "dst": "p"}]}'
         )
+    with pytest.raises(FormatError, match=r"edges\[0\].label: expected a word string"):
+        parse_automaton(
+            '{"states": ["p"], "alphabet": ["a"], "label_domain": {"kind": "word", "rank": 2},'
+            ' "initial": "p", "accepting": [], '
+            '"edges": [{"src": "p", "input": "a", "label": ["a"], "dst": "p"}]}'
+        )
+    with pytest.raises(FormatError, match="automaton: expected a JSON object"):
+        parse_automaton('[{"states": ["p"]}]')
+    with pytest.raises(FormatError, match="matrix list: expected an array"):
+        parse_matrix_list('{"0": [["1"]]}')
+    with pytest.raises(ValueError, match="word rank 2"):
+        ValenceAutomaton(("p",), ("a",), WordLabels(2),
+                         [Edge("p", "a", FreeWord.from_text("a", 3), "p")], "p", ())
 
 
 def test_automaton_label_dimension_checked():

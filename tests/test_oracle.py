@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from matdecide.deciders import identity_in_semigroup_bounded, membership_bounded
 from matdecide.matrix import IntMatrix
 from matdecide.oracle import enumerate_products, group_word_search
 
@@ -75,9 +76,13 @@ def test_group_search_respects_bound():
     assert group_word_search(B, [A], 8) is None
 
 
-def test_group_search_requires_unimodular():
-    with pytest.raises(ValueError):
-        group_word_search(I2, [IntMatrix([[2, 0], [0, 1]])], 2)
+def test_group_search_skips_singular_generators():
+    d = IntMatrix([[2, 0], [0, 1]])
+    assert group_word_search(A, [d, A], 3) == (2,)
+    assert group_word_search(A_INV * B, [d, A, d, B], 3) == (-2, 4)
+    assert group_word_search(I2, [d], 2) == ()
+    assert group_word_search(A, [d], 3) is None
+    assert group_word_search(d, [d, A], 3) is None
 
 
 def test_group_search_witness_remultiplies():
@@ -124,3 +129,94 @@ def test_group_search_matches_breadth_first_reference():
             check = naive_mul(check, g if sym > 0 else g.inverse_unimodular())
         assert check == y
     assert answers["none"] >= 100 and answers["found"] >= 300, answers
+
+
+def unimodular_witness(gens, search):
+    """Reference for how the searches treat singular generators: run search
+    on the unimodular generators only, then map its signed letters back to
+    positions in gens."""
+    positions = [i for i, g in enumerate(gens, start=1) if g.is_unimodular()]
+    found = search([gens[i - 1] for i in positions]) if positions else None
+    if found is None:
+        return None
+    return tuple(positions[abs(s) - 1] * (1 if s > 0 else -1) for s in found)
+
+
+def _shear3(i, j, k):
+    rows = [[int(r == c) for c in range(3)] for r in range(3)]
+    rows[i][j] = k
+    return IntMatrix(rows)
+
+
+POOL2 = [A, B, S, T, J, NEG_I, A * B, S * T]
+POOL3 = [_shear3(0, 1, 1), _shear3(1, 2, -1), _shear3(2, 0, 2),
+         IntMatrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]]), IntMatrix([[-1, 0, 0], [0, 1, 0], [0, 0, 1]])]
+
+
+def _random_singular(rng, n):
+    while True:
+        m = IntMatrix([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
+        if not m.is_unimodular():
+            return m
+
+
+def _random_product(rng, gens, length, inverses):
+    y = IntMatrix.identity(gens[0].n)
+    for _ in range(length):
+        g = rng.choice(gens)
+        if inverses and rng.random() < 0.5:
+            g = g.inverse_unimodular()
+        y = y * g
+    return y
+
+
+def test_searches_skip_singular_generators_and_keep_input_positions():
+    """Each search over a list with singular generators returns exactly the
+    witness of the same search over the unimodular generators alone,
+    renumbered to input positions; a singular target is searched over every
+    generator. Lists are 2x2 and 3x3, some of them all singular."""
+    rng = random.Random(18)
+    found = {"group": 0, "product": 0, "identity": 0, "singular target": 0, "renumbered": 0}
+    lists = 0
+    for n, pool in ((2, POOL2), (3, POOL3)) * 350:
+        if rng.random() < 0.1:
+            unimodular = []
+        else:
+            unimodular = rng.sample(pool, rng.randint(1, 3))
+        gens = list(unimodular)
+        for _ in range(rng.randint(1, 3)):
+            gens.insert(rng.randint(0, len(gens)), _random_singular(rng, n))
+        lists += 1
+        depth = rng.randint(0, 4)
+        kind = rng.random()
+        if unimodular and kind < 0.6:
+            y = _random_product(rng, unimodular, rng.randint(0, 4), rng.random() < 0.5)
+        elif kind < 0.85:  # a product with singular factors, so usually singular
+            y = _random_product(rng, gens, rng.randint(1, 3), False)
+        else:
+            y = rng.choice([IntMatrix.identity(n), pool[0], _random_singular(rng, n)])
+
+        expected = () if y.is_identity() else unimodular_witness(
+            gens, lambda us: group_word_search(y, us, depth))
+        got = group_word_search(y, gens, depth)
+        assert got == expected, (gens, y, depth)
+        found["group"] += got is not None
+
+        if y.is_unimodular():
+            expected = unimodular_witness(gens, lambda us: membership_bounded(y, us, depth))
+        else:
+            expected = next((seq for prod, seq in enumerate_products(gens, depth)
+                             if prod == y), None)
+            found["singular target"] += expected is not None
+        got = membership_bounded(y, gens, depth)
+        assert got == expected, (gens, y, depth)
+        found["product"] += got is not None
+
+        expected = unimodular_witness(gens, lambda us: identity_in_semigroup_bounded(us, depth))
+        got = identity_in_semigroup_bounded(gens, depth)
+        assert got == expected, (gens, depth)
+        found["identity"] += got is not None
+        found["renumbered"] += got is not None and got != unimodular_witness(
+            unimodular, lambda us: identity_in_semigroup_bounded(us, depth))
+    assert lists >= 600
+    assert min(found.values()) >= 20, found

@@ -130,6 +130,13 @@ def test_pda_emptiness_examples():
     assert not pda_emptiness(from_free_automaton(pipeline))
     assert bounded_accepts(pipeline, "aa") is SimResult.ACCEPTED  # witness
 
+    # the tables follow the letters used: one far past any small rank, and a
+    # pushed 7 whose inverse no hop has
+    big = 10**8
+    hops = ((0, "x", big, 1), (1, None, -big, 2), (2, None, 7, 3))
+    assert not pda_emptiness(Pda(4, hops, 0, frozenset({2})))
+    assert pda_emptiness(Pda(4, hops, 0, frozenset({3})))
+
 
 def test_pda_emptiness_on_random_hop_machines(rng):
     # hops between arbitrary states, against the bounded reference
@@ -139,7 +146,7 @@ def test_pda_emptiness_on_random_hop_machines(rng):
             (rng.randrange(4), None, rng.choice([0, 1, -1, 2, -2]), rng.randrange(4))
             for _ in range(rng.randint(1, 10))
         )
-        pda = Pda(4, 2, hops, 0, frozenset({3}))
+        pda = Pda(4, hops, 0, frozenset({3}))
         if pda_bounded_accepts(pda, (), stack_cap=6):
             assert not pda_emptiness(pda), hops
             found += 1
@@ -158,6 +165,13 @@ def test_free_automaton_emptiness_examples():
         ("p", "q", "r"), "p", ("r",),
     )
     assert not free_automaton_emptiness(cancel)
+
+
+def test_engines_require_word_labels():
+    v = build_membership_automaton(A, [A_INV])
+    for engine in (free_automaton_emptiness, from_free_automaton):
+        with pytest.raises(ValueError, match="free-word labels"):
+            engine(v)
 
 
 def test_emptiness_with_no_accepting_states():
