@@ -23,9 +23,7 @@ from matdecide.deciders import (
     decide_identity_in_semigroup,
     decide_subgroup_membership,
     identity_in_semigroup_bounded,
-    identity_in_semigroup_gl2,
     membership_bounded,
-    subgroup_membership_gl2,
 )
 from matdecide.matrix import IntMatrix
 from matdecide.oracle import enumerate_products, group_word_search
@@ -38,7 +36,6 @@ from matdecide.pda import (
 from matdecide.sanov import (
     CosetTable,
     build_coset_table,
-    coset_index,
     default_coset_table,
     eval_word,
     factor_in_sanov,
@@ -65,7 +62,6 @@ __all__ = [
     "build_identity_universe_automaton",
     "build_membership_automaton",
     "build_membership_universe_automaton",
-    "coset_index",
     "decide_identity_in_semigroup",
     "decide_subgroup_membership",
     "default_coset_table",
@@ -76,14 +72,12 @@ __all__ = [
     "from_free_automaton",
     "group_word_search",
     "identity_in_semigroup_bounded",
-    "identity_in_semigroup_gl2",
     "kernel_backend",
     "membership_bounded",
     "pda_emptiness",
     "prune_noninvertible",
     "schreier_rewrite",
     "shortest_accepted_string",
-    "subgroup_membership_gl2",
     "to_free_group_automaton",
     "__version__",
 ]

@@ -101,11 +101,6 @@ class ValenceAutomaton:
             if not isinstance(label, FreeWord) or label.rank != domain.rank:
                 raise ValueError(f"label {label!r} does not match word rank {domain.rank}")
 
-    def identity_register(self) -> Label:
-        if isinstance(self.label_domain, MatrixLabels):
-            return IntMatrix.identity(self.label_domain.dim)
-        return FreeWord.identity(self.label_domain.rank)
-
 
 class SimResult(enum.Enum):
     """Tri-state outcome of bounded simulation: acceptance is definitive, a
@@ -182,8 +177,9 @@ def prune_noninvertible(v: ValenceAutomaton) -> ValenceAutomaton:
 
 
 def to_free_group_automaton(v: ValenceAutomaton, table: CosetTable) -> ValenceAutomaton:
-    """Coset-product conversion of a unimodular 2x2-labeled automaton into a
-    word-labeled one accepting the same language.
+    """Coset-product conversion of a 2x2-labeled automaton into a word-labeled
+    one accepting the same language. Edges whose label is not unimodular are
+    dropped: a register multiplied by one never returns to the identity.
 
     States are the (state, coset) pairs reachable from the initial pair
     (v.initial, 0), in breadth-first discovery order. An edge labeled g out of
@@ -197,16 +193,14 @@ def to_free_group_automaton(v: ValenceAutomaton, table: CosetTable) -> ValenceAu
     """
     if not isinstance(v.label_domain, MatrixLabels) or v.label_domain.dim != 2:
         raise ValueError("conversion requires 2x2 matrix labels")
-    for e in v.edges:
-        if not e.label.is_unimodular():
-            raise ValueError("non-unimodular label; prune the automaton first")
 
     def pair(q: str, c: int) -> str:
         return f"{q}|{c}"
 
     by_src: dict[str, list[Edge]] = {}
     for e in v.edges:
-        by_src.setdefault(e.src, []).append(e)
+        if e.label.is_unimodular():
+            by_src.setdefault(e.src, []).append(e)
     start = (v.initial, 0)
     reached = {start: None}  # a dict, so the order is discovery order
     queue = deque([start])
@@ -279,10 +273,11 @@ def _search_runs(
     Returns the input read by a shortest accepting run (shortlex-least over
     the alphabet among those) or None, and whether the configuration space
     under the cap was exhausted with nothing cut."""
-    if register_cap is None:
-        register_cap = (
-            DEFAULT_MATRIX_CAP if isinstance(v.label_domain, MatrixLabels) else DEFAULT_WORD_CAP
-        )
+    if isinstance(v.label_domain, MatrixLabels):
+        default_cap, register = DEFAULT_MATRIX_CAP, IntMatrix.identity(v.label_domain.dim)
+    else:
+        default_cap, register = DEFAULT_WORD_CAP, FreeWord.identity(v.label_domain.rank)
+    register_cap = default_cap if register_cap is None else register_cap
     # a run through a state off every initial-to-accepting path never
     # accepts, whatever its register, so skipping those states keeps NO exact
     alive = _live_states(v)
@@ -297,8 +292,8 @@ def _search_runs(
         return min(found, key=lambda s: (len(s), [v.alphabet.index(x) for x in s]), default=None)
 
     need = 0 if word is None else len(word)  # symbols an accepting run reads
-    start = (v.initial, v.identity_register(), ())
-    found = [()] if not need and v.initial in v.accepting and start[1].is_identity() else []
+    start = (v.initial, register, ())
+    found = [()] if not need and v.initial in v.accepting else []  # the register starts at I
     layer, seen, cut = [start], {start}, False
     while layer and not found:
         nxt = []

@@ -1,11 +1,12 @@
 """Batch command-line front end.
 
 Exit codes: 0 = yes / witness found, 1 = no, 2 = unknown (bounded search
-exhausted, or no decision procedure for the dimension), 64 = usage error,
-65 = malformed input file, 70 = internal error (a bug, such as the two
-emptiness engines disagreeing), 73 = cannot create the output file. The same
-inputs always produce byte-identical output. MATDECIDE_REGISTER_CAP overrides
-the register caps of the bounded simulator used for witness extraction.
+exhausted, no decision procedure for the dimension, or out of memory before
+an answer), 64 = usage error, 65 = malformed input file, 70 = internal error
+(a bug, such as the two emptiness engines disagreeing), 73 = cannot create
+the output file, 74 = standard output closed before the answer was written.
+The same inputs always produce byte-identical output. MATDECIDE_REGISTER_CAP
+overrides the register caps of the witness search.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ EX_USAGE = 64
 EX_DATAERR = 65
 EX_SOFTWARE = 70
 EX_CANTCREAT = 73
+EX_IOERR = 74
 
 
 class _Parser(argparse.ArgumentParser):
@@ -212,7 +214,7 @@ def cmd_convert(args) -> Answer:
             print(f"cannot convert: no finite-index free-subgroup table for "
                   f"{v.label_domain.dim}x{v.label_domain.dim} labels", file=sys.stderr)
             return 2, [], {}
-        v = to_free_group_automaton(prune_noninvertible(v), default_coset_table())
+        v = to_free_group_automaton(v, default_coset_table())
     out = format_automaton(v)
     if not args.output:
         return 0, out.splitlines(), {}
@@ -293,13 +295,25 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _emit(args, args.func(args))
+    except BrokenPipeError:
+        # The reader left: a real stdout goes to devnull, so the flush at exit stays quiet.
+        try:
+            fd = sys.stdout.fileno()
+            os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+        except (OSError, ValueError):  # an in-memory stdout has no descriptor
+            pass
+        return EX_IOERR
     except ValueError as exc:  # FormatError included
         print(f"matdecide: {exc}", file=sys.stderr)
         return EX_DATAERR
+    except MemoryError:
+        pass  # reported below, once the traceback no longer holds the search's memory
     except Exception as exc:
         # Any other exception is a fault in matdecide; exit 1 would read as "no".
         print(f"matdecide: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EX_SOFTWARE
+    print("matdecide: out of memory before an answer", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

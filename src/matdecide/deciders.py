@@ -2,10 +2,10 @@
 
 For 2x2 integer matrices, subgroup membership and the semigroup identity
 problem are decided exactly through the automaton pipeline: build the
-two-state machine, prune non-invertible edges, convert to free-word labels
-through the coset table, and test emptiness. For other dimensions only
-bounded witness search is offered; absence of a witness at a bound proves
-nothing, and callers must treat it as unknown.
+two-state machine, convert it to free-word labels through the coset table,
+which drops non-invertible edges, and test emptiness. For other dimensions
+only bounded witness search is offered; absence of a witness at a bound
+proves nothing, and callers must treat it as unknown.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from matdecide.automata import (
     ValenceAutomaton,
     build_identity_automaton,
     build_membership_automaton,
-    prune_noninvertible,
     to_free_group_automaton,
 )
 from matdecide.matrix import IntMatrix, _generator_dim
@@ -40,12 +39,11 @@ def _require_2x2(matrices: Sequence[IntMatrix]) -> None:
 
 
 def automaton_nonempty(v: ValenceAutomaton, *, checked: bool = False) -> bool:
-    """Exact emptiness test for an automaton with 2x2 matrix labels or
-    free-word labels. Matrix labels are pruned and converted through the
-    coset table first. With checked, the pushdown engine runs too, and a
-    disagreement between the two engines raises RuntimeError."""
+    """Exact emptiness test for 2x2 matrix labels, through the coset
+    conversion, or free-word labels. With checked, the pushdown engine runs
+    too, and a disagreement between the two engines raises RuntimeError."""
     if isinstance(v.label_domain, MatrixLabels):
-        v = to_free_group_automaton(prune_noninvertible(v), default_coset_table())
+        v = to_free_group_automaton(v, default_coset_table())
     empty = free_automaton_emptiness(v)
     if checked:
         via_pda = pda_emptiness(from_free_automaton(v))
@@ -88,12 +86,6 @@ def decide_subgroup_membership(
     return Decision(answer, "decided by coset conversion and emptiness of the membership machine")
 
 
-def subgroup_membership_gl2(
-    y: IntMatrix, gens: Sequence[IntMatrix], *, checked: bool = False
-) -> bool:
-    return decide_subgroup_membership(y, gens, checked=checked).answer
-
-
 def decide_identity_in_semigroup(
     gens: Sequence[IntMatrix], *, checked: bool = False
 ) -> Decision:
@@ -111,10 +103,6 @@ def decide_identity_in_semigroup(
     machine = build_identity_automaton(invertible)
     answer = automaton_nonempty(machine, checked=checked)
     return Decision(answer, "decided by coset conversion and emptiness of the identity machine")
-
-
-def identity_in_semigroup_gl2(gens: Sequence[IntMatrix], *, checked: bool = False) -> bool:
-    return decide_identity_in_semigroup(gens, checked=checked).answer
 
 
 def membership_bounded(

@@ -95,10 +95,6 @@ class IntMatrix:
             raise ValueError("dimension must be >= 1")
         return cls._from_entries(_identity_entries(n))
 
-    def __getitem__(self, ij: tuple[int, int]) -> int:
-        i, j = ij
-        return self.entries[i][j]
-
     def __mul__(self, other: "IntMatrix") -> "IntMatrix":
         if not isinstance(other, IntMatrix):
             return NotImplemented

@@ -55,8 +55,6 @@ def group_word_search(
     """
     _generator_dim(gens, y)
     identity = IntMatrix.identity(y.n)
-    if y == identity:
-        return ()
     # Interleaved [g1, g1^-1, g2, g2^-1, ...] over the unimodular generators:
     # 0-based symbol j is letters[j], and j ^ 1 is the inverse symbol of j.
     symbols: list[IntMatrix] = []
@@ -88,7 +86,8 @@ def group_word_search(
     # half v with product u^-1 y. Lexicographic order on u.v is order on u,
     # then on v, so the first left half in layer order that has a partner,
     # joined with that partner's least word, is the least word of length L.
-    for length in range(1, max_len + 1):
+    # Length 0 is the empty word, which matches y = I.
+    for length in range(max_len + 1):
         right = layer(length // 2)
         for word, inv in layer((length + 1) // 2).values():
             hit = right.get(inv * y)

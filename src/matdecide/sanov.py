@@ -146,13 +146,6 @@ def _claim_coset(residues: dict, c: int, rep: IntMatrix) -> None:
         residues[_residue(h * rep)] = c
 
 
-def coset_index(table: CosetTable, m: IntMatrix) -> int:
-    """Index of the right coset containing m (m must be unimodular 2x2)."""
-    if m.n != 2 or not m.is_unimodular():
-        raise ValueError("coset_index requires a unimodular 2x2 matrix")
-    return table.residues[_residue(m)]
-
-
 def build_coset_table() -> CosetTable:
     """BFS closure of the right-coset action under S, T, J; a candidate is new
     iff its residue mod 4 is unclaimed, so it closes at exactly 24 cosets."""

@@ -18,9 +18,9 @@ from matdecide.automata import (
 )
 from matdecide.cli import main as cli_main
 from matdecide.deciders import (
+    decide_identity_in_semigroup,
+    decide_subgroup_membership,
     identity_in_semigroup_bounded,
-    identity_in_semigroup_gl2,
-    subgroup_membership_gl2,
 )
 from matdecide.formats import format_automaton, format_matrix, format_matrix_list
 from matdecide.matrix import IntMatrix
@@ -160,17 +160,17 @@ def test_criterion_5_membership_end_to_end():
             for _ in range(rng.randint(0, 5)):
                 g = rng.choice(gens)
                 y = y * (g if rng.random() < 0.5 else g.inverse_unimodular())
-            assert subgroup_membership_gl2(y, gens)
+            assert decide_subgroup_membership(y, gens).answer
 
         # structural negatives: the determinant gate
         for _ in range(25):
             m = IntMatrix([[rng.randint(-6, 6) for _ in range(2)] for _ in range(2)])
             if not m.is_unimodular():
-                assert not subgroup_membership_gl2(m, [A, B])
-        assert not subgroup_membership_gl2(IntMatrix([[2, 0], [0, 1]]), [A, B])
+                assert not decide_subgroup_membership(m, [A, B]).answer
+        assert not decide_subgroup_membership(IntMatrix([[2, 0], [0, 1]]), [A, B]).answer
 
         # upper vs lower unitriangular generators never mix
-        assert not subgroup_membership_gl2(A, [B])
+        assert not decide_subgroup_membership(A, [B]).answer
 
         # conjugation invariance on 50 mixed instances
         for _ in range(50):
@@ -178,9 +178,9 @@ def test_criterion_5_membership_end_to_end():
             y = random_unimodular(rng, 4)
             p = random_unimodular(rng, 4)
             p_inv = p.inverse_unimodular()
-            assert subgroup_membership_gl2(y, gens) == subgroup_membership_gl2(
-                p * y * p_inv, [p * g * p_inv for g in gens]
-            )
+            conjugated = [p * g * p_inv for g in gens]
+            assert (decide_subgroup_membership(y, gens).answer
+                    == decide_subgroup_membership(p * y * p_inv, conjugated).answer)
 
 
 def test_criterion_6_identity_agrees_with_bounded_search():
@@ -197,7 +197,7 @@ def test_criterion_6_identity_agrees_with_bounded_search():
             elif roll < 0.65:
                 gens.append(S)  # order 4, seeds short identity products
             witness = identity_in_semigroup_bounded(gens, 8)
-            decided = identity_in_semigroup_gl2(gens)
+            decided = decide_identity_in_semigroup(gens).answer
             if witness is not None:
                 bounded_hits += 1
                 assert decided, gens  # zero false negatives

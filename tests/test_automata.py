@@ -192,11 +192,22 @@ def test_coset_conversion_rejects_bad_labels():
         ("p", "q"), ("a",), MatrixLabels(2),
         [Edge("p", "a", IntMatrix([[2, 0], [0, 1]]), "q")], "p", ("q",),
     )
-    with pytest.raises(ValueError, match="prune"):
-        to_free_group_automaton(v, table)
+    converted = to_free_group_automaton(v, table)  # the singular edge is dropped
+    assert (converted.states, converted.edges, converted.accepting) == (("p|0",), (), frozenset())
     v3 = build_membership_automaton(IntMatrix.identity(3), [IntMatrix.identity(3)])
     with pytest.raises(ValueError):
         to_free_group_automaton(v3, table)
+
+
+def test_coset_conversion_drops_what_pruning_drops(rng):
+    table = default_coset_table()
+    dropped = 0
+    for _ in range(200):
+        v = random_matrix_automaton(rng, with_singular=True)
+        pruned = prune_noninvertible(v)
+        dropped += len(v.edges) - len(pruned.edges)
+        assert to_free_group_automaton(v, table) == to_free_group_automaton(pruned, table)
+    assert dropped > 50
 
 
 def test_bounded_accepts_tristate():

@@ -1,7 +1,7 @@
 """End-to-end CLI checks, including the exit-code contract: 0 yes/witness,
-1 no, 2 unknown, 64 usage, 65 malformed input, 70 internal error, 73 cannot
-create the output file. Dimensions other than 2 must never produce a
-definitive no."""
+1 no, 2 unknown (out of memory included), 64 usage, 65 malformed input,
+70 internal error, 73 cannot create the output file, 74 standard output
+closed. Dimensions other than 2 must never produce a definitive no."""
 
 import json
 import os
@@ -754,3 +754,40 @@ def test_empty_checked_sizes_its_tables_by_the_letters_used(tmp_path):
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "NONEMPTY: witness 'x'\n", "")
 
+
+
+def _cli_child(*argv, **kwargs):
+    """Start the command line in a child process that imports this checkout."""
+    src = os.path.dirname(os.path.dirname(matdecide.__file__))
+    return subprocess.Popen(
+        [sys.executable, "-m", "matdecide.cli", *argv],
+        env={**os.environ, "PYTHONPATH": src},
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, **kwargs,
+    )
+
+
+def test_a_closed_standard_output_exits_74_quietly():
+    # a^100000 is 200 KB of text, more than the pipe holds, so the writer
+    # is still writing when the reader closes its end
+    with _cli_child("factor", '[["1","200000"],["0","1"]]') as proc:
+        assert proc.stdout.read(10) == "a a a a a "
+        proc.stdout.close()
+        err = proc.stderr.read()  # neither an internal error nor an exit-time flush error
+        assert (proc.wait(timeout=60), err) == (74, "")
+
+
+def test_running_out_of_memory_is_unknown(files):
+    """A search that exhausts memory answers unknown, not internal error.
+    Run in a child process under a 128 MiB address-space limit, which the
+    layers of a length-20 group search outgrow."""
+    resource = pytest.importorskip("resource")
+    target = files("target.json", format_matrix(T))
+    gens = files("gens.json", format_matrix_list([A, B]))
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (128 << 20, 128 << 20))
+
+    argv = ("search", "--group", "--max-len", "20", "--target", target, "--gens", gens)
+    with _cli_child(*argv, preexec_fn=limit) as proc:
+        out, err = proc.communicate(timeout=60)
+    assert (proc.returncode, out, err) == (2, "", "matdecide: out of memory before an answer\n")

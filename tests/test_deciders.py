@@ -10,9 +10,7 @@ from matdecide.deciders import (
     decide_identity_in_semigroup,
     decide_subgroup_membership,
     identity_in_semigroup_bounded,
-    identity_in_semigroup_gl2,
     membership_bounded,
-    subgroup_membership_gl2,
 )
 from matdecide.matrix import IntMatrix
 from matdecide.oracle import enumerate_products, group_word_search
@@ -22,15 +20,15 @@ from conftest import A, A_INV, B, I2, S, random_reduced_word, random_unimodular
 
 
 def test_membership_examples():
-    assert subgroup_membership_gl2(I2, [A])
-    assert subgroup_membership_gl2(IntMatrix([[5, 2], [2, 1]]), [A, B])
-    assert not subgroup_membership_gl2(A, [B])
-    assert not subgroup_membership_gl2(IntMatrix([[2, 0], [0, 1]]), [A, B])
+    assert decide_subgroup_membership(I2, [A]).answer
+    assert decide_subgroup_membership(IntMatrix([[5, 2], [2, 1]]), [A, B]).answer
+    assert not decide_subgroup_membership(A, [B]).answer
+    assert not decide_subgroup_membership(IntMatrix([[2, 0], [0, 1]]), [A, B]).answer
 
 
 def test_membership_uses_inverses():
     # A * B^-1 is in the group generated by {A, B} but is no positive product
-    assert subgroup_membership_gl2(A * B.inverse_unimodular(), [A, B])
+    assert decide_subgroup_membership(A * B.inverse_unimodular(), [A, B]).answer
 
 
 def test_membership_determinant_gate_reason():
@@ -41,40 +39,40 @@ def test_membership_determinant_gate_reason():
 
 def test_membership_with_no_usable_generators():
     doubler = IntMatrix([[2, 0], [0, 2]])
-    assert subgroup_membership_gl2(I2, [doubler])
-    assert not subgroup_membership_gl2(A, [doubler])
+    assert decide_subgroup_membership(I2, [doubler]).answer
+    assert not decide_subgroup_membership(A, [doubler]).answer
 
 
 def test_membership_dimension_errors():
     with pytest.raises(ValueError):
-        subgroup_membership_gl2(IntMatrix.identity(3), [IntMatrix.identity(3)])
+        decide_subgroup_membership(IntMatrix.identity(3), [IntMatrix.identity(3)])
     with pytest.raises(ValueError):
-        subgroup_membership_gl2(I2, [IntMatrix.identity(3)])
+        decide_subgroup_membership(I2, [IntMatrix.identity(3)])
 
 
 def test_identity_examples():
-    assert identity_in_semigroup_gl2([A, A_INV])
-    assert not identity_in_semigroup_gl2([A])
-    assert identity_in_semigroup_gl2([S])  # S has order 4
+    assert decide_identity_in_semigroup([A, A_INV]).answer
+    assert not decide_identity_in_semigroup([A]).answer
+    assert decide_identity_in_semigroup([S]).answer  # S has order 4
 
 
 def test_identity_errors():
     with pytest.raises(ValueError):
-        identity_in_semigroup_gl2([])
+        decide_identity_in_semigroup([])
     with pytest.raises(ValueError):
-        identity_in_semigroup_gl2([IntMatrix.identity(4)])
+        decide_identity_in_semigroup([IntMatrix.identity(4)])
 
 
 def test_identity_prunes_non_unimodular():
     doubler = IntMatrix([[2, 0], [0, 2]])
-    assert not identity_in_semigroup_gl2([doubler])
-    assert identity_in_semigroup_gl2([doubler, S])
+    assert not decide_identity_in_semigroup([doubler]).answer
+    assert decide_identity_in_semigroup([doubler, S]).answer
 
 
 def test_checked_mode_agrees():
-    assert subgroup_membership_gl2(A * B, [A, B], checked=True)
-    assert not subgroup_membership_gl2(A, [B], checked=True)
-    assert identity_in_semigroup_gl2([S], checked=True)
+    assert decide_subgroup_membership(A * B, [A, B], checked=True).answer
+    assert not decide_subgroup_membership(A, [B], checked=True).answer
+    assert decide_identity_in_semigroup([S], checked=True).answer
 
 
 def test_bounded_identity_examples():
@@ -111,7 +109,7 @@ def test_planted_witnesses_accepted(rng):
         for _ in range(rng.randint(0, 5)):
             g = rng.choice(gens)
             y = y * (g if rng.random() < 0.5 else g.inverse_unimodular())
-        assert subgroup_membership_gl2(y, gens)
+        assert decide_subgroup_membership(y, gens).answer
 
 
 def test_oracle_positive_implies_decider_positive(rng):
@@ -122,7 +120,7 @@ def test_oracle_positive_implies_decider_positive(rng):
         y = random_unimodular(rng, 4)
         witness = group_word_search(y, gens, 4)
         if witness is not None:
-            assert subgroup_membership_gl2(y, gens)
+            assert decide_subgroup_membership(y, gens).answer
             checked += 1
     assert checked > 10
 
@@ -133,8 +131,9 @@ def test_conjugation_invariance(rng):
         y = random_unimodular(rng, 4)
         p = random_unimodular(rng, 4)
         p_inv = p.inverse_unimodular()
-        left = subgroup_membership_gl2(y, gens)
-        right = subgroup_membership_gl2(p * y * p_inv, [p * g * p_inv for g in gens])
+        left = decide_subgroup_membership(y, gens).answer
+        conjugated = [p * g * p_inv for g in gens]
+        right = decide_subgroup_membership(p * y * p_inv, conjugated).answer
         assert left == right
 
 
@@ -146,9 +145,9 @@ def test_identity_decider_matches_bounded_search(rng):
             gens.append(rng.choice(gens).inverse_unimodular())
         witness = identity_in_semigroup_bounded(gens, 8)
         if witness is not None:
-            assert identity_in_semigroup_gl2(gens)
+            assert decide_identity_in_semigroup(gens).answer
             hits += 1
-        elif not identity_in_semigroup_gl2(gens):
+        elif not decide_identity_in_semigroup(gens).answer:
             # decider says no: the bounded search must indeed have found nothing
             assert witness is None
     assert hits > 5
@@ -158,7 +157,7 @@ def test_determinant_gate_on_random_targets(rng):
     for _ in range(20):
         m = IntMatrix([[rng.randint(-5, 5) for _ in range(2)] for _ in range(2)])
         if not m.is_unimodular():
-            assert not subgroup_membership_gl2(m, [A, B, S])
+            assert not decide_subgroup_membership(m, [A, B, S]).answer
 
 
 I3 = IntMatrix.identity(3)

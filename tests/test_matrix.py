@@ -185,7 +185,7 @@ def test_computed_matrices_match_validated_ones(n):
     for _ in range(15):
         a, b = _random_unimodular(rng, n), _zero_pivot_unimodular(rng, n)
         if n >= 2:
-            assert b[0, 0] == 0
+            assert b.entries[0][0] == 0
         for m in (a, b):
             inv = m.inverse_unimodular()
             _assert_like_validated(inv)

@@ -64,6 +64,11 @@ def test_enumerate_validation():
 
 def test_group_search_identity_is_empty_word():
     assert group_word_search(I2, [A], 3) == ()
+    # length 0 is searched like any other: the empty word matches I only
+    assert group_word_search(I2, [A], 0) == ()
+    assert group_word_search(A, [A], 0) is None
+    singular = [IntMatrix([[2, 0], [0, 1]]), IntMatrix([[0, 0], [1, 3]])]
+    assert group_word_search(I2, singular, 4) == ()
 
 
 def test_group_search_finds_conjugate():

@@ -8,7 +8,6 @@ from matdecide.sanov import (
     GEN_A,
     GEN_B,
     build_coset_table,
-    coset_index,
     default_coset_table,
     eval_word,
     factor_in_sanov,
@@ -165,8 +164,8 @@ def test_coset_index_identifies_membership(rng):
     table = default_coset_table()
     for _ in range(30):
         m = eval_word(random_reduced_word(rng, 5))
-        assert coset_index(table, m) == 0
-    assert coset_index(table, T) != 0
+        assert schreier_rewrite(table, 0, m)[0] == 0
+    assert schreier_rewrite(table, 0, T)[0] != 0
 
 
 def test_coset_index_matches_factorization_scan(rng):
@@ -180,7 +179,7 @@ def test_coset_index_matches_factorization_scan(rng):
             c for c in range(table.size)
             if factor_in_sanov(m * table.rep_invs[c]) is not None
         ]
-        assert hits == [coset_index(table, m)]
+        assert hits == [schreier_rewrite(table, 0, m)[0]]
     assert dets == {1, -1}
     assert len(table.residues) == 96
     assert Counter(table.residues.values()) == {c: 4 for c in range(table.size)}
