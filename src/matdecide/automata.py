@@ -167,9 +167,10 @@ def build_identity_universe_automaton(gens: Sequence[IntMatrix]) -> ValenceAutom
 
 
 def prune_noninvertible(v: ValenceAutomaton) -> ValenceAutomaton:
-    """Drop every edge whose matrix label is not unimodular. A register that
-    has been multiplied by a singular matrix can never return to the identity,
-    so the accepted language is unchanged."""
+    """Drop every edge whose matrix label is not unimodular. |det| is
+    multiplicative over the integers, so a register multiplied by such a label
+    never returns to the identity, in any dimension, and the accepted language
+    is unchanged. The bounded search over runs calls this first."""
     if not isinstance(v.label_domain, MatrixLabels):
         raise ValueError("pruning applies to matrix-labeled automata")
     kept = [e for e in v.edges if e.label.is_unimodular()]
@@ -267,14 +268,15 @@ def _search_runs(
 ) -> tuple[Optional[tuple[str, ...]], bool]:
     """Breadth-first search over configurations (state, register, consumed
     input), one run-length layer at a time, over every input of at most
-    max_len symbols, or over the prefixes of `word` when it is given. A branch
-    whose register outgrows the cap (max absolute entry for matrices, length
-    for words) is cut, and one configuration budget covers all inputs.
-    Returns the input read by a shortest accepting run (shortlex-least over
-    the alphabet among those) or None, and whether the configuration space
-    under the cap was exhausted with nothing cut."""
+    max_len symbols, or over the prefixes of `word` when it is given, with
+    matrix labels through prune_noninvertible first. A branch whose register
+    outgrows the cap (max absolute entry for matrices, length for words) is
+    cut, and one configuration budget covers all inputs. Returns the input
+    read by a shortest accepting run (shortlex-least over the alphabet among
+    those) or None, and whether no branch was cut and the budget held."""
     if isinstance(v.label_domain, MatrixLabels):
         default_cap, register = DEFAULT_MATRIX_CAP, IntMatrix.identity(v.label_domain.dim)
+        v = prune_noninvertible(v)
     else:
         default_cap, register = DEFAULT_WORD_CAP, FreeWord.identity(v.label_domain.rank)
     register_cap = default_cap if register_cap is None else register_cap
@@ -334,9 +336,9 @@ def bounded_accepts(
 ) -> SimResult:
     """The bounded search over runs restricted to the input w. ACCEPTED is
     definitive. NO is definitive: the whole configuration space under the cap
-    was exhausted with nothing cut. REJECTED_AT_BOUND means a register cut or
-    the configuration budget truncated the search, and proves nothing.
-    """
+    was exhausted with nothing cut, or no run over unimodular labels reaches
+    an accepting state. REJECTED_AT_BOUND means a register cut or the
+    configuration budget truncated the search, and proves nothing."""
     for sym in w:
         if sym not in v.alphabet:
             raise ValueError(f"input symbol {sym!r} not in the alphabet")
@@ -353,5 +355,5 @@ def shortest_accepted_string(
 ) -> Optional[tuple[str, ...]]:
     """Input of at most max_len symbols read by a shortest accepting run (the
     shortlex-least among those), as its tuple of symbols; None if the bounded
-    search finds none."""
+    search, which skips labels that are not unimodular, finds none."""
     return _search_runs(v, max_len, register_cap, DEFAULT_CONFIG_BUDGET)[0]

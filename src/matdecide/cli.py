@@ -20,7 +20,6 @@ from typing import Any, Optional, Sequence
 
 from matdecide.automata import (
     MatrixLabels,
-    prune_noninvertible,
     shortest_accepted_string,
     to_free_group_automaton,
 )
@@ -186,13 +185,9 @@ def cmd_identity(args) -> Answer:
 def cmd_empty(args) -> Answer:
     v = parse_automaton(_read(args.automaton))
     cap = _register_cap()
-    matrix_labels = isinstance(v.label_domain, MatrixLabels)
-    exact = not matrix_labels or v.label_domain.dim == 2
-    if exact:
-        if not automaton_nonempty(v, checked=args.checked):
-            return 1, ["EMPTY"], {"answer": "empty", "witness": None}
-        if matrix_labels:
-            v = prune_noninvertible(v)
+    exact = not isinstance(v.label_domain, MatrixLabels) or v.label_domain.dim == 2
+    if exact and not automaton_nonempty(v, checked=args.checked):
+        return 1, ["EMPTY"], {"answer": "empty", "witness": None}
     found = shortest_accepted_string(v, max_len=args.witness_len, register_cap=cap)
     if found is not None:
         # joined when every symbol is one character, else the symbol list

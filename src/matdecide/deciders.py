@@ -78,9 +78,7 @@ def decide_subgroup_membership(
     if not invertible:
         answer = y.is_identity()
         return Decision(answer, "no unimodular generators remain; the group is trivial")
-    symmetrized = list(
-        dict.fromkeys(invertible + [g.inverse_unimodular() for g in invertible])
-    )
+    symmetrized = invertible + [g.inverse_unimodular() for g in invertible]
     machine = build_membership_automaton(y, symmetrized)
     answer = automaton_nonempty(machine, checked=checked)
     return Decision(answer, "decided by coset conversion and emptiness of the membership machine")

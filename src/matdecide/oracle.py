@@ -37,6 +37,8 @@ def enumerate_products(
                 witness = seq + (i,)
                 next_layer.append((cand, witness))
                 yield cand, witness
+        if not next_layer:  # no new product, so no longer one either
+            return
         layer = next_layer
 
 
@@ -87,9 +89,18 @@ def group_word_search(
     # then on v, so the first left half in layer order that has a partner,
     # joined with that partner's least word, is the least word of length L.
     # Length 0 is the empty word, which matches y = I.
+    #
+    # P_t, the products of exactly t symbols (layer t's keys), contains
+    # P_{t-2} (append s s^-1). Once P_t = P_{t-2}, P_{t+1} = P_t S = P_{t-1},
+    # so the layers repeat with period 2 from t-2 on. A length-L word matches
+    # iff y is in P_L, and lengths t-2 and t-1 were checked before layer t
+    # was built, so no longer word can match. dict_keys compare sizes first.
     for length in range(max_len + 1):
         right = layer(length // 2)
-        for word, inv in layer((length + 1) // 2).values():
+        left = layer((length + 1) // 2)
+        if len(layers) > 2 and layers[-1].keys() == layers[-3].keys():
+            return None
+        for word, inv in left.values():
             hit = right.get(inv * y)
             if hit is not None:
                 return tuple(letters[j] for j in word + hit[0])

@@ -151,3 +151,20 @@ def moves(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(automata, "_register_size", counted)
     return count
+
+
+@pytest.fixture
+def product_budget(monkeypatch) -> list[float]:
+    """A one-item budget of IntMatrix products, unlimited until a test sets
+    it: each product spends one, and a product past the budget fails the
+    test, so a search that does not stop fails before it fills memory."""
+    budget = [float("inf")]
+    mul = IntMatrix.__mul__
+
+    def spend(a, b):
+        budget[0] -= 1
+        assert budget[0] >= 0, "the product budget is spent"
+        return mul(a, b)
+
+    monkeypatch.setattr(IntMatrix, "__mul__", spend)
+    return budget

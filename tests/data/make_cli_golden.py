@@ -102,6 +102,27 @@ def automaton_text(rng, kind, dim=2, n_states=None, n_edges=None, singular=False
                        "initial": states[0], "accepting": accepting, "edges": edges})
 
 
+def flooded_text(dim):
+    """s0 loops on epsilon with F = [[2,1],[0,1]] and G = [[1,0],[1,2]], and
+    reads a with T = [[1,1],[0,1]] into an epsilon chain c0..c29 of identity
+    labels whose last edge, T^-1, enters the accepting state acc. Every label
+    is embedded as diag(M, 1) in dim x dim."""
+    def label(m):
+        rows = [list(row) + [0] * (dim - 2) for row in m] + [list(r) for r in ident(dim)[2:]]
+        return [[str(x) for x in row] for row in rows]
+
+    chain = [f"c{i}" for i in range(30)]
+    edges = [("s0", None, ((2, 1), (0, 1)), "s0"), ("s0", None, ((1, 0), (1, 2)), "s0"),
+             ("s0", "a", ((1, 1), (0, 1)), "c0")]
+    edges += [(p, None, ident(2), q) for p, q in zip(chain, chain[1:])]
+    edges.append(("c29", None, ((1, -1), (0, 1)), "acc"))
+    return json.dumps({"states": ["s0", *chain, "acc"], "alphabet": ["a"],
+                       "label_domain": {"kind": "matrix", "dim": dim}, "initial": "s0",
+                       "accepting": ["acc"],
+                       "edges": [{"src": src, "input": symbol, "label": label(m), "dst": dst}
+                                 for src, symbol, m, dst in edges]})
+
+
 def calls(rng):
     """Yield (argv, inputs) pairs."""
     fmt = lambda: ["--format", "structured"] if rng.random() < 0.5 else []  # noqa: E731
@@ -228,6 +249,10 @@ def calls(rng):
     for _ in range(3):
         yield (["empty", "a.json", "--witness-len", "2", *fmt()],
                {"a.json": automaton_text(rng, "matrix", dim=3, n_states=2, n_edges=3)})
+    # empty: epsilon loops of determinant 2, which no accepting run can use,
+    # in 2x2 and in 3x3; the witness search drops them in both.
+    for dim in (2, 3):
+        yield ["empty", "a.json"], {"a.json": flooded_text(dim)}
 
 
 def run(argv, inputs, workdir: Path):

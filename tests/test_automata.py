@@ -1,4 +1,4 @@
-from collections import deque
+from collections import Counter, deque
 
 import pytest
 
@@ -266,17 +266,65 @@ def test_coset_conversion_preserves_language_at_desk_scale(rng):
     assert accepted > 0
 
 
+def reference_accepts(v: ValenceAutomaton, w, cap: int) -> SimResult:
+    """Per-word breadth-first search over (state, register, position) that
+    keeps every edge, singular labels included, and cuts a register whose
+    largest absolute entry passes cap. 2x2 registers are entry tuples
+    multiplied by hand."""
+    by_src: dict[str, list] = {}
+    for e in v.edges:
+        (a, b), (c, d) = e.label.entries
+        by_src.setdefault(e.src, []).append((e.symbol, (a, b, c, d), e.dst))
+    identity = (1, 0, 0, 1)
+    start = (v.initial, identity, 0)
+    seen, queue, cut = {start}, deque([start]), False
+    while queue:
+        state, (a, b, c, d), pos = queue.popleft()
+        if pos == len(w) and state in v.accepting and (a, b, c, d) == identity:
+            return ACCEPT
+        for symbol, (e, f, g, h), dst in by_src.get(state, ()):
+            if symbol is not None and (pos == len(w) or w[pos] != symbol):
+                continue
+            reg = (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+            if max(map(abs, reg)) > cap:
+                cut = True
+                continue
+            conf = (dst, reg, pos + (symbol is not None))
+            if conf not in seen:
+                seen.add(conf)
+                queue.append(conf)
+    return SimResult.REJECTED_AT_BOUND if cut else SimResult.NO
+
+
 def test_prune_preserves_definitive_answers(rng):
-    for _ in range(20):
+    # the search drops singular labels; a reference that keeps them must
+    # accept the same words, and its every definitive no stays a no
+    pairs: Counter = Counter()
+    for _ in range(200):
         v = random_matrix_automaton(rng, with_singular=True)
-        pruned = prune_noninvertible(v)
         for s in all_strings(("a", "b"), 3):
-            r1 = bounded_accepts(v, s, register_cap=500)
-            r2 = bounded_accepts(pruned, s, register_cap=500)
-            if r1 is ACCEPT or r2 is ACCEPT:
-                assert r1 is r2 is ACCEPT
-            if r1 is SimResult.NO:
-                assert r2 is SimResult.NO
+            reference = reference_accepts(v, s, 20)
+            result = bounded_accepts(v, s, register_cap=20)
+            assert (reference is ACCEPT) == (result is ACCEPT), (v.edges, s)
+            if reference is SimResult.NO:
+                assert result is SimResult.NO, (v.edges, s)
+            pairs[reference, result] += 1
+    # definitive only after pruning: the reference's singular branches grew
+    # past the cap
+    assert pairs[ACCEPT, ACCEPT] > 100, pairs
+    assert pairs[SimResult.REJECTED_AT_BOUND, SimResult.NO] > 100, pairs
+
+
+def test_bounded_accepts_is_exact_when_only_singular_labels_grow():
+    # p's epsilon loop doubles an entry for ever, but no register it makes
+    # can return to I, so no run of "aa" accepts: a definitive no
+    v = ValenceAutomaton(
+        ("p", "q"), ("a",), MatrixLabels(2),
+        [Edge("p", None, IntMatrix([[2, 0], [0, 1]]), "p"), Edge("p", "a", I2, "q")],
+        "p", ("q",),
+    )
+    assert bounded_accepts(v, "aa") is SimResult.NO
+    assert bounded_accepts(v, "a") is ACCEPT
 
 
 def test_shortest_accepted_string():

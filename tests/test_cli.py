@@ -320,6 +320,23 @@ def test_search_semigroup_and_group(capsys, files):
     assert "1 -2" in out2
 
 
+def test_bounded_searches_stop_once_no_longer_product_can_match(capsys, files, product_budget):
+    # S has order 4, so no word over S and S^-1 equals J; [[1]] gives only
+    # [[1]]. Searched length by length, either bound would run for minutes.
+    product_budget[0] = 100
+    target = files("y.json", format_matrix(J))
+    gens = files("gens.json", format_matrix_list([S]))
+    code, out, _ = run(capsys, "member", "--target", target, "--gens", gens,
+                       "--bounded", "1000000")
+    assert (code, out) == (2, "unknown: no product of length <= 1000000 matches "
+                               "(absence at the bound proves nothing)\n")
+    target = files("y1.json", '[["2"]]')
+    gens = files("gens1.json", '[[["1"]]]')
+    code, out, _ = run(capsys, "search", "--target", target, "--gens", gens,
+                       "--max-len", "10000000")
+    assert (code, out) == (2, "not found within length 10000000\n")
+
+
 def test_engine_disagreement_exits_70(capsys, files, monkeypatch):
     real = deciders.pda_emptiness
     monkeypatch.setattr(deciders, "pda_emptiness", lambda pda: not real(pda))
@@ -461,12 +478,13 @@ def test_empty_with_no_path_to_an_accepting_state_is_unknown(capsys, files):
 
 def test_witness_search_pays_for_an_epsilon_loop_once(capsys, files, monkeypatch, moves):
     # s0 loops on epsilon with a register that grows at every turn, and every
-    # configuration the loop reaches can read a into the accepting state s1
+    # configuration the loop reaches can read a into the accepting state s1;
+    # the a edge flips the last coordinate, so no register there is I
     loop = IntMatrix([[1, -1, 0], [0, 1, 0], [0, 0, 1]])
-    double = IntMatrix([[2, 0, 0], [0, 1, 0], [0, 0, 1]])
+    flip_last = IntMatrix([[1, 0, 0], [0, 1, 0], [0, 0, -1]])
     v = ValenceAutomaton(
         ("s0", "s1"), ("a",), MatrixLabels(3),
-        [Edge("s0", None, loop, "s0"), Edge("s0", "a", double, "s1")], "s0", ("s1",),
+        [Edge("s0", None, loop, "s0"), Edge("s0", "a", flip_last, "s1")], "s0", ("s1",),
     )
     path = files("aut.json", format_automaton(v))
     monkeypatch.setenv("MATDECIDE_REGISTER_CAP", "50")
@@ -481,6 +499,35 @@ def test_witness_search_pays_for_an_epsilon_loop_once(capsys, files, monkeypatch
     # each letter move leaves one of the configurations that the epsilon
     # loop reaches, and each of those makes one epsilon move
     assert epsilon_moves <= explored("3") <= 2 * epsilon_moves
+
+
+def _flooded_machine(dim: int) -> ValenceAutomaton:
+    """s0 loops on epsilon with two labels of determinant 2, and reads a
+    into a 30-state epsilon chain whose labels multiply back to I; each label
+    is embedded as diag(M, 1, ..., 1)."""
+
+    def embed(m):
+        rows = [list(row) + [0] * (dim - 2) for row in m]
+        return IntMatrix(rows + [[int(i == j) for j in range(dim)] for i in range(2, dim)])
+
+    chain = [f"c{i}" for i in range(30)]
+    edges = [
+        Edge("s0", None, embed([[2, 1], [0, 1]]), "s0"),
+        Edge("s0", None, embed([[1, 0], [1, 2]]), "s0"),
+        Edge("s0", "a", embed([[1, 1], [0, 1]]), "c0"),
+        *(Edge(p, None, embed([[1, 0], [0, 1]]), q) for p, q in zip(chain, chain[1:])),
+        Edge("c29", None, embed([[1, -1], [0, 1]]), "acc"),
+    ]
+    return ValenceAutomaton(("s0", *chain, "acc"), ("a",), MatrixLabels(dim), edges, "s0",
+                            ("acc",))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_empty_skips_singular_labels_in_every_dimension(capsys, files, dim):
+    # the epsilon loops would flood the witness search with growing
+    # registers; none of them can return to I, so the search drops them
+    path = files("aut.json", format_automaton(_flooded_machine(dim)))
+    assert run(capsys, "empty", path) == (0, "NONEMPTY: witness 'a'\n", "")
 
 
 def test_empty_finds_a_witness_through_a_growing_epsilon_cycle(capsys, files):

@@ -16,7 +16,7 @@ from matdecide.matrix import IntMatrix
 from matdecide.oracle import enumerate_products, group_word_search
 from matdecide.sanov import eval_word
 
-from conftest import A, A_INV, B, I2, S, random_reduced_word, random_unimodular
+from conftest import A, A_INV, B, I2, J, S, T, random_reduced_word, random_unimodular
 
 
 def test_membership_examples():
@@ -29,6 +29,21 @@ def test_membership_examples():
 def test_membership_uses_inverses():
     # A * B^-1 is in the group generated by {A, B} but is no positive product
     assert decide_subgroup_membership(A * B.inverse_unimodular(), [A, B]).answer
+
+
+def test_repeated_generators_give_the_same_membership_machine(rng):
+    # the machine keeps the first copy of a repeated edge, so the symmetrized
+    # list needs no deduplication; J, -I and S^2 are their own inverses
+    pool = [A, A_INV, B, S, T, J, S * S, S * T]
+    repeated = 0
+    for _ in range(500):
+        gens = [rng.choice(pool) for _ in range(rng.randint(1, 4))]
+        sym = gens + [g.inverse_unimodular() for g in gens]
+        y = random_unimodular(rng)
+        repeated += len(set(sym)) < len(sym)
+        unique = list(dict.fromkeys(sym))
+        assert build_membership_automaton(y, sym) == build_membership_automaton(y, unique)
+    assert repeated > 250
 
 
 def test_membership_determinant_gate_reason():

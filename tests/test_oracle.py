@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -60,6 +61,16 @@ def test_enumerate_validation():
         list(enumerate_products([], 2))
     with pytest.raises(ValueError):
         list(enumerate_products([A, IntMatrix.identity(3)], 2))
+
+
+def test_enumerate_stops_at_the_first_empty_layer():
+    # [[1]] gives one product; every later layer is empty, so a bound of
+    # 10**8 must not cost 10**8 turns of the loop
+    one = IntMatrix([[1]])
+    start = time.process_time()
+    assert list(enumerate_products([one], 10**8)) == [(one, (1,))]
+    assert membership_bounded(IntMatrix([[2]]), [one], 10**8) is None
+    assert time.process_time() - start < 1.0
 
 
 def test_group_search_identity_is_empty_word():
@@ -134,6 +145,22 @@ def test_group_search_matches_breadth_first_reference():
             check = naive_mul(check, g if sym > 0 else g.inverse_unimodular())
         assert check == y
     assert answers["none"] >= 100 and answers["found"] >= 300, answers
+
+
+def test_group_search_stops_once_the_layers_repeat(product_budget):
+    """In a finite group the products of exactly t symbols repeat with period
+    2 from some length on, and then no longer word can match: the search
+    answers at once, whatever the bound, with the breadth-first witness."""
+    finite = [[S], [J], [NEG_I], [S, J], [NEG_I, J], [J, S * J], [S, S * S]]
+    targets = [I2, S, S * S, J, S * J, NEG_I, T, A]
+    for gens in finite:
+        for y in targets:
+            for depth in (0, 3, 7, 40):
+                witness = group_word_search(y, gens, depth)
+                assert witness == reference_group_word_search(y, gens, depth), (gens, y)
+    # S has order 4, so words over S and S^-1 give I, S, S^2 and S^3 only
+    product_budget[0] = 100
+    assert group_word_search(J, [S], 10**6) is None
 
 
 def unimodular_witness(gens, search):
