@@ -163,9 +163,7 @@ def cmd_member(args) -> Answer:
     gens = _gens(args)
     if args.bounded is not None or y.n != 2:
         bound = args.bounded if args.bounded is not None else DEFAULT_DEPTH
-        if y.is_unimodular():
-            return _bounded_report(group_word_search(y, gens, bound), bound, "matches", _SIGNED)
-        return _bounded_report(membership_bounded(y, gens, bound), bound, "matches")
+        return _bounded_report(group_word_search(y, gens, bound), bound, "matches", _SIGNED)
     decision = decide_subgroup_membership(y, gens, checked=args.checked)
     witness = group_word_search(y, gens, DEFAULT_DEPTH) if decision.answer else None
     return _decision_report(decision, witness, _SIGNED)
@@ -225,12 +223,7 @@ def cmd_convert(args) -> Answer:
 def cmd_search(args) -> Answer:
     y = parse_matrix(_read(args.target))
     gens = _gens(args)
-    search = group_word_search if args.group else membership_bounded
-    witness = search(y, gens, args.max_len)
-    if witness is not None:
-        return 0, [f"found: {_witness_str(witness)}"], {"answer": "found", "witness": list(witness)}
-    return (2, [f"not found within length {args.max_len}"],
-            {"answer": "not-found", "witness": None})
+    return _bounded_report(membership_bounded(y, gens, args.max_len), args.max_len, "matches")
 
 
 # The options that several commands share, each defined once.
@@ -238,7 +231,7 @@ _SHARED = {
     "--target": dict(required=True, help="file with one matrix"),
     "--gens": dict(required=True, help="file with a matrix list"),
     "--bounded": dict(type=_length_bound, metavar="K",
-                      help="force bounded product search up to length K"),
+                      help="bounded search up to length K instead of the exact decider"),
     "--checked": dict(action="store_true", help="cross-check both emptiness engines"),
 }
 
@@ -273,11 +266,9 @@ def _build_parser() -> _Parser:
     p.add_argument("automaton", help="automaton JSON file")
     p.add_argument("-o", "--output", help="write to this file instead of stdout")
     p.set_defaults(format="text")  # the document is the only output
-    p = command("search", cmd_search, "bounded product search (any dimension)",
+    p = command("search", cmd_search, "bounded search for a product of generators, no inverses",
                 "--target", "--gens")
     p.add_argument("--max-len", type=_length_bound, default=DEFAULT_DEPTH)
-    p.add_argument("--group", action="store_true",
-                   help="search words over generators and their inverses")
 
     for name, p in sub.choices.items():
         if name != "convert":

@@ -65,24 +65,33 @@ def group_word_search(
         if g.is_unimodular():
             symbols += (g, g.inverse_unimodular())
             letters += (i, -i)
-    # layers[t]: product of each word of exactly t symbols -> (the least such
-    # word, the inverse of the product). Extending layer t-1 in order, symbol
-    # by symbol, meets every product first through its least word, so each
-    # layer is also in the lexicographic order of its words.
-    layers: list[dict[IntMatrix, tuple[tuple[int, ...], IntMatrix]]] = [
-        {identity: ((), identity)}
-    ]
+    # layers[t]: product of each word of exactly t symbols -> (the product
+    # one symbol shorter, that symbol, the inverse of the product). Extending
+    # layer t-1 in order, symbol by symbol, meets every product first through
+    # its least word, so each layer is in the lexicographic order of its words
+    # and a product's least word is its prefix's least word plus one symbol.
+    # The back-pointers rebuild it on a hit, in memory quadratic in the bound
+    # where whole words would take cubic.
+    Entry = tuple[Optional[IntMatrix], int, IntMatrix]
+    layers: list[dict[IntMatrix, Entry]] = [{identity: (None, -1, identity)}]
 
-    def layer(t: int) -> dict[IntMatrix, tuple[tuple[int, ...], IntMatrix]]:
+    def layer(t: int) -> dict[IntMatrix, Entry]:
         while len(layers) <= t:
-            nxt: dict[IntMatrix, tuple[tuple[int, ...], IntMatrix]] = {}
-            for prod, (word, inv) in layers[-1].items():
+            nxt: dict[IntMatrix, Entry] = {}
+            for prod, (_, _, inv) in layers[-1].items():
                 for j, s in enumerate(symbols):
                     cand = prod * s
                     if cand not in nxt:
-                        nxt[cand] = (word + (j,), symbols[j ^ 1] * inv)
+                        nxt[cand] = (prod, j, symbols[j ^ 1] * inv)
             layers.append(nxt)
         return layers[t]
+
+    def least_word(t: int, prod: IntMatrix) -> list[int]:
+        word = []
+        for k in range(t, 0, -1):
+            prod, j, _ = layers[k][prod]
+            word.append(letters[j])
+        return word[::-1]
 
     # A word of length L is a left half u of ceil(L/2) symbols and a right
     # half v with product u^-1 y. Lexicographic order on u.v is order on u,
@@ -100,8 +109,9 @@ def group_word_search(
         left = layer((length + 1) // 2)
         if len(layers) > 2 and layers[-1].keys() == layers[-3].keys():
             return None
-        for word, inv in left.values():
-            hit = right.get(inv * y)
-            if hit is not None:
-                return tuple(letters[j] for j in word + hit[0])
+        for prod, (_, _, inv) in left.items():
+            half = inv * y
+            if half in right:
+                return tuple(least_word((length + 1) // 2, prod)
+                             + least_word(length // 2, half))
     return None

@@ -208,7 +208,7 @@ def calls(rng):
            {"g.json": list_text([POOL3[3], POOL3[0]])})
     yield ["identity", "--gens", "g.json"], {"g.json": "[]"}
 
-    # search: group words and positive products, any dimension.
+    # bounded group words (member --bounded) and positive products (search).
     for i in range(14):
         gens = [product(rng, POOL, rng.randint(1, 2)) for _ in range(rng.randint(1, 2))]
         target = ident(2)
@@ -217,14 +217,15 @@ def calls(rng):
             target = mul(target, g)
         if i % 4 == 3:
             target = product(rng, POOL, 3)
-        argv = ["search", "--target", "y.json", "--gens", "g.json", "--max-len",
-                str(rng.randint(0, 4))]
+        bound = str(rng.randint(0, 4))
         if i % 3 != 2:
-            argv.append("--group")
+            argv = ["member", "--target", "y.json", "--gens", "g.json", "--bounded", bound]
+        else:
+            argv = ["search", "--target", "y.json", "--gens", "g.json", "--max-len", bound]
         yield [*argv, *fmt()], {"y.json": mat_text(target), "g.json": list_text(gens)}
     yield (["search", "--target", "y.json", "--gens", "g.json", "--max-len", "3"],
            {"y.json": mat_text(((8,),)), "g.json": list_text([((2,),)])})
-    yield (["search", "--target", "y.json", "--gens", "g.json", "--group"],
+    yield (["member", "--target", "y.json", "--gens", "g.json", "--bounded", "8"],
            {"y.json": mat_text(ident(2)), "g.json": list_text([((2, 0), (0, 1))])})
 
     # convert: 2x2 labels (some singular), word labels, 3x3 labels.

@@ -5,6 +5,7 @@ closed. Dimensions other than 2 must never produce a definitive no."""
 
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -156,6 +157,36 @@ def test_member_bounded_searches_the_group(capsys, files, target, gens, argv, wi
                        "--format", "structured")
     assert code == 0
     assert json.loads(out)["witness"] == witness
+
+
+_UNIMODULAR = [A, B, S, T, J, A_INV, IntMatrix([[0, 1], [1, 0]])]
+# Determinants 1, -1, 0, 2 and -2: a group holds only the unimodular ones.
+_MIXED_POOL = _UNIMODULAR + [IntMatrix([[2, 0], [0, 1]]), IntMatrix([[1, 1], [1, -1]]),
+                             IntMatrix([[3, 1], [0, 0]]), IntMatrix([[1, 2], [2, 4]])]
+
+
+def test_a_bounded_yes_never_contradicts_an_exact_no(capsys, files):
+    """A bounded search may answer unknown where the exact decider says yes,
+    never yes where it says no. A singular product of the generators is
+    never in the group they generate."""
+    rng = random.Random(0xB0D)
+    singular_products = 0
+    for _ in range(60):
+        gens = rng.sample(_MIXED_POOL, rng.randint(1, 3))
+        target = rng.choice(gens)
+        for _ in range(rng.randint(0, 2)):
+            target = target * rng.choice(gens)
+        if rng.random() < 0.3:
+            target = rng.choice(_UNIMODULAR) * rng.choice(_UNIMODULAR)
+        singular_products += not target.is_unimodular()
+        g = files("gens.json", format_matrix_list(gens))
+        y = files("y.json", format_matrix(target))
+        member = ["member", "--target", y, "--gens", g]
+        if run(capsys, *member, "--bounded", "3")[0] == 0:
+            assert run(capsys, *member)[0] == 0, (target, gens)
+        if run(capsys, "identity", "--gens", g, "--bounded", "3")[0] == 0:
+            assert run(capsys, "identity", "--gens", g)[0] == 0, gens
+    assert singular_products >= 15  # 19 with this seed
 
 
 def test_member_bounded_checks_dimensions_before_dropping_singular_generators(capsys, files):
@@ -313,9 +344,8 @@ def test_search_semigroup_and_group(capsys, files):
     gens = files("gens.json", format_matrix_list([A, B]))
     code, out, _ = run(capsys, "search", "--target", target, "--gens", gens, "--max-len", "4")
     assert code == 2
-    code2, out2, _ = run(
-        capsys, "search", "--target", target, "--gens", gens, "--max-len", "4", "--group"
-    )
+    # the group search is member --bounded, which counts inverses
+    code2, out2, _ = run(capsys, "member", "--target", target, "--gens", gens, "--bounded", "4")
     assert code2 == 0
     assert "1 -2" in out2
 
@@ -334,7 +364,8 @@ def test_bounded_searches_stop_once_no_longer_product_can_match(capsys, files, p
     gens = files("gens1.json", '[[["1"]]]')
     code, out, _ = run(capsys, "search", "--target", target, "--gens", gens,
                        "--max-len", "10000000")
-    assert (code, out) == (2, "not found within length 10000000\n")
+    assert (code, out) == (2, "unknown: no product of length <= 10000000 matches "
+                               "(absence at the bound proves nothing)\n")
 
 
 def test_engine_disagreement_exits_70(capsys, files, monkeypatch):
@@ -362,6 +393,11 @@ def test_usage_errors_exit_64(capsys):
         main(["no-such-command"])
     assert exc2.value.code == 64
     capsys.readouterr()
+    # the group search is member --bounded; search has no --group option
+    with pytest.raises(SystemExit) as exc3:
+        main(["search", "--target", "y.json", "--gens", "g.json", "--group"])
+    assert exc3.value.code == 64
+    capsys.readouterr()
 
 
 def test_consecutive_calls_share_no_state(capsys, files, monkeypatch):
@@ -388,8 +424,8 @@ def test_consecutive_calls_share_no_state(capsys, files, monkeypatch):
     assert exc.value.code == 64
     capsys.readouterr()
     assert run(capsys, *member) == plain
-    search = run(capsys, "search", "--target", target, "--gens", gens, "--group")
-    assert search[:2] == (0, "found: 1 2\n")
+    search = run(capsys, "search", "--target", target, "--gens", gens)
+    assert search[:2] == (0, "yes: witness 1 2\n")
     assert cli._build_parser() is cli._build_parser()
 
 
@@ -620,6 +656,13 @@ _TWO_CHAR_SYMBOL = ValenceAutomaton(
             '{"answer": "unknown", "bound": 4, "command": "member", "witness": null}',
             id="member-bounded-unknown"),
         pytest.param(
+            ["member", "--target", _Input('[["9","3"],["0","0"]]'),
+             "--gens", _mats(IntMatrix([[3, 1], [0, 0]]), IntMatrix([[0, 1], [-1, -2]])),
+             "--bounded", "3"],
+            2, "unknown: no product of length <= 3 matches (absence at the bound proves nothing)",
+            '{"answer": "unknown", "bound": 3, "command": "member", "witness": null}',
+            id="member-bounded-singular-target"),
+        pytest.param(
             ["member", "--target", _Input(format_matrix(IntMatrix([[1, 20], [0, 1]]))),
              "--gens", _mats(A)],
             0, "yes (no witness found within the search depth)",
@@ -674,32 +717,51 @@ _TWO_CHAR_SYMBOL = ValenceAutomaton(
             '{"answer": "unknown", "command": "empty", "witness": null}',
             id="empty-3x3-unknown"),
         pytest.param(
-            ["search", "--target", _Input(format_matrix(A * B_INV)), "--gens", _mats(A, B),
-             "--group"],
-            0, "found: 1 -2", '{"answer": "found", "command": "search", "witness": [1, -2]}',
+            ["member", "--target", _Input(format_matrix(A * B_INV)), "--gens", _mats(A, B),
+             "--bounded", "8"],
+            0, "yes: witness 1 -2" + _MEMBER_SUFFIX,
+            '{"answer": "yes", "bound": 8, "command": "member", "witness": [1, -2]}',
+            id="member-bounded-yes"),
+        pytest.param(
+            ["member", "--target", _Input(format_matrix(IntMatrix.identity(2))),
+             "--gens", _mats(_SINGULAR), "--bounded", "8"],
+            0, "yes: witness (empty product)" + _MEMBER_SUFFIX,
+            '{"answer": "yes", "bound": 8, "command": "member", "witness": []}',
+            id="member-bounded-empty-product-singular"),
+        pytest.param(
+            ["member", "--target", _Input(format_matrix(A_INV)), "--gens", _mats(_SINGULAR, A),
+             "--bounded", "8"],
+            0, "yes: witness -2" + _MEMBER_SUFFIX,
+            '{"answer": "yes", "bound": 8, "command": "member", "witness": [-2]}',
+            id="member-bounded-skips-singular"),
+        pytest.param(
+            ["search", "--target", _Input(format_matrix(A * B)), "--gens", _mats(A, B)],
+            0, "yes: witness 1 2",
+            '{"answer": "yes", "bound": 8, "command": "search", "witness": [1, 2]}',
             id="search-found"),
+        # search counts products of 1..K generators, so I needs a word
         pytest.param(
             ["search", "--target", _Input(format_matrix(IntMatrix.identity(2))),
-             "--gens", _mats(A), "--group"],
-            0, "found: (empty product)",
-            '{"answer": "found", "command": "search", "witness": []}',
+             "--gens", _mats(A)],
+            2, "unknown: no product of length <= 8 matches (absence at the bound proves nothing)",
+            '{"answer": "unknown", "bound": 8, "command": "search", "witness": null}',
             id="search-empty-product"),
         pytest.param(
             ["search", "--target", _Input(format_matrix(IntMatrix.identity(2))),
-             "--gens", _mats(_SINGULAR), "--group"],
-            0, "found: (empty product)",
-            '{"answer": "found", "command": "search", "witness": []}',
+             "--gens", _mats(_SINGULAR)],
+            2, "unknown: no product of length <= 8 matches (absence at the bound proves nothing)",
+            '{"answer": "unknown", "bound": 8, "command": "search", "witness": null}',
             id="search-empty-product-singular"),
         pytest.param(
-            ["search", "--target", _Input(format_matrix(A_INV)), "--gens", _mats(_SINGULAR, A),
-             "--group"],
-            0, "found: -2", '{"answer": "found", "command": "search", "witness": [-2]}',
-            id="search-group-skips-singular"),
+            ["search", "--target", _Input(format_matrix(A)), "--gens", _mats(_SINGULAR, A)],
+            0, "yes: witness 2",
+            '{"answer": "yes", "bound": 8, "command": "search", "witness": [2]}',
+            id="search-skips-singular"),
         pytest.param(
             ["search", "--target", _Input(format_matrix(A * B_INV)), "--gens", _mats(A, B),
              "--max-len", "4"],
-            2, "not found within length 4",
-            '{"answer": "not-found", "command": "search", "witness": null}',
+            2, "unknown: no product of length <= 4 matches (absence at the bound proves nothing)",
+            '{"answer": "unknown", "bound": 4, "command": "search", "witness": null}',
             id="search-not-found"),
     ],
 )
@@ -720,8 +782,7 @@ def test_every_answer_kind_in_both_formats(capsys, files, argv, code, text, stru
         ["identity", "--gens", _mats(A, A_INV)],
         ["empty", _Input(format_automaton(build_membership_automaton(A, [A_INV])))],
         ["convert", _Input(format_automaton(build_membership_automaton(A, [B])))],
-        ["search", "--target", _Input(format_matrix(A * B_INV)), "--gens", _mats(A, B),
-         "--group"],
+        ["search", "--target", _Input(format_matrix(A * B)), "--gens", _mats(A, B)],
     ],
     ids=lambda argv: argv[0],
 )
@@ -834,7 +895,7 @@ def test_running_out_of_memory_is_unknown(files):
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (128 << 20, 128 << 20))
 
-    argv = ("search", "--group", "--max-len", "20", "--target", target, "--gens", gens)
+    argv = ("member", "--bounded", "20", "--target", target, "--gens", gens)
     with _cli_child(*argv, preexec_fn=limit) as proc:
         out, err = proc.communicate(timeout=60)
     assert (proc.returncode, out, err) == (2, "", "matdecide: out of memory before an answer\n")
