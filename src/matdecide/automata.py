@@ -9,24 +9,27 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
-from matdecide.matrix import IntMatrix, _generator_dim
+from matdecide.matrix import IntMatrix, _generator_dim, _Record
 from matdecide.sanov import CosetTable, schreier_rewrite
 from matdecide.words import FreeWord
 
 Label = Union[IntMatrix, FreeWord]
 
 
-@dataclass(frozen=True)
-class MatrixLabels:
-    dim: int
+class MatrixLabels(_Record):
+    __slots__ = _fields = ("dim",)
+
+    def __init__(self, dim: int):
+        super().__init__(dim)
 
 
-@dataclass(frozen=True)
-class WordLabels:
-    rank: int
+class WordLabels(_Record):
+    __slots__ = _fields = ("rank",)
+
+    def __init__(self, rank: int):
+        super().__init__(rank)
 
 
 LabelDomain = Union[MatrixLabels, WordLabels]

@@ -10,7 +10,6 @@ proves nothing, and callers must treat it as unknown.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from matdecide.automata import (
@@ -20,16 +19,17 @@ from matdecide.automata import (
     build_membership_automaton,
     to_free_group_automaton,
 )
-from matdecide.matrix import IntMatrix, _generator_dim
+from matdecide.matrix import IntMatrix, _generator_dim, _Record
 from matdecide.oracle import enumerate_products
 from matdecide.pda import free_automaton_emptiness, from_free_automaton, pda_emptiness
 from matdecide.sanov import default_coset_table
 
 
-@dataclass(frozen=True)
-class Decision:
-    answer: bool
-    reason: str
+class Decision(_Record):
+    __slots__ = _fields = ("answer", "reason")
+
+    def __init__(self, answer: bool, reason: str):
+        super().__init__(answer, reason)
 
 
 def _require_2x2(matrices: Sequence[IntMatrix]) -> None:

@@ -6,13 +6,15 @@ lets BFS searches and coset tables key on them directly. The constructor
 validates its input; arithmetic on valid matrices skips that second pass.
 The 2x2 matrices of the decision pipeline take closed forms for products,
 determinants and inverses; larger n uses row-by-column sums, Bareiss
-elimination and cofactors.
+elimination and cofactors. The module also defines _Record, the base of the
+package's small immutable values (label domains, coset tables, pushdown
+machines, decisions).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import mul
+from operator import index, mul
 from typing import Iterable, Sequence
 
 
@@ -57,13 +59,56 @@ def _generator_dim(gens: Sequence["IntMatrix"], *others: "IntMatrix") -> int:
     return dims.pop()
 
 
+class _Record:
+    """Immutable value with named fields, in place of a frozen dataclass:
+    importing dataclasses loads inspect, ast and dis, which would cost each
+    CLI call more than its query. A subclass lists its fields in _fields,
+    declares them (and any derived attributes) in __slots__, and passes
+    their values in order to _Record.__init__ from an __init__ of its own
+    signature. Equality and hash go by class and fields, the repr reads
+    like a keyword call, assignment raises AttributeError, and pickle and
+    copy rebuild the value through the constructor."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (type(self), self._values())
+
+
 class IntMatrix:
     """Immutable n x n matrix with arbitrary-precision integer entries."""
 
     __slots__ = ("n", "entries", "_hash")
 
     def __init__(self, rows: Iterable[Sequence[int]]):
-        entries = tuple(tuple(int(x) for x in row) for row in rows)
+        # index, not int: a float, string or fraction entry is refused, not truncated
+        entries = tuple(tuple(map(index, row)) for row in rows)
         n = len(entries)
         if n < 1:
             raise ValueError("matrix must have at least one row")

@@ -16,10 +16,10 @@ a'a, which reduce to the identity without ever having pushed a.)
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from matdecide.automata import ValenceAutomaton, WordLabels, _live_states
+from matdecide.matrix import _Record
 
 
 def _split_hops(
@@ -179,15 +179,18 @@ def free_automaton_emptiness(v: ValenceAutomaton) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class Pda:
+class Pda(_Record):
     """Hop graph read as a pushdown automaton, accepting on accept state +
     empty stack, starting from an empty stack. States are 0..n_states-1."""
 
+    __slots__ = _fields = ("n_states", "hops", "initial", "accepting")
     n_states: int
     hops: tuple[tuple[int, Optional[str], int, int], ...]  # (src, symbol, letter, dst)
     initial: int
     accepting: frozenset[int]
+
+    def __init__(self, n_states: int, hops: tuple, initial: int, accepting: frozenset[int]):
+        super().__init__(n_states, hops, initial, accepting)
 
 
 def from_free_automaton(v: ValenceAutomaton) -> Pda:

@@ -9,12 +9,11 @@ GL(2,Z) is 24 = [GL:SL] * [SL:Gamma(2)] * [Gamma(2):Sanov] = 2 * 6 * 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping
 
-from matdecide.matrix import IntMatrix
+from matdecide.matrix import IntMatrix, _Record
 from matdecide.words import FreeWord
 
 GEN_A = IntMatrix([[1, 2], [0, 1]])
@@ -99,8 +98,7 @@ def factor_in_sanov(m: IntMatrix) -> FreeWord | None:
     return FreeWord.__new__(FreeWord)._set(tuple(letters), 2)
 
 
-@dataclass(frozen=True)
-class CosetTable:
+class CosetTable(_Record):
     """Right-coset representatives of the Sanov subgroup in GL(2,Z).
 
     reps[0] is the identity; matrices g, h lie in the same right coset iff
@@ -110,21 +108,20 @@ class CosetTable:
     coset index, 4 residues per coset.
     """
 
-    reps: tuple[IntMatrix, ...]
-    rep_invs: tuple[IntMatrix, ...] = field(init=False, repr=False, compare=False)
-    residues: Mapping[tuple[int, int, int, int], int] = field(
-        init=False, repr=False, compare=False
-    )
+    # rep_invs and residues derive from reps, so they are left out of
+    # equality, the repr and pickling
+    _fields = ("reps",)
+    __slots__ = ("reps", "rep_invs", "residues")
+    rep_invs: tuple[IntMatrix, ...]
+    residues: Mapping[tuple[int, int, int, int], int]
 
-    def __post_init__(self):
-        object.__setattr__(self, "rep_invs", tuple(r.inverse_unimodular() for r in self.reps))
+    def __init__(self, reps: tuple[IntMatrix, ...]):
+        super().__init__(reps)
+        object.__setattr__(self, "rep_invs", tuple(r.inverse_unimodular() for r in reps))
         residues: dict[tuple[int, int, int, int], int] = {}
-        for c, r in enumerate(self.reps):
+        for c, r in enumerate(reps):
             _claim_coset(residues, c, r)
         object.__setattr__(self, "residues", MappingProxyType(residues))
-
-    def __reduce__(self):
-        return (CosetTable, (self.reps,))
 
     @property
     def size(self) -> int:

@@ -8,6 +8,7 @@ simulation sees only the reduced content.
 
 from __future__ import annotations
 
+from operator import index
 from typing import Iterable, Sequence
 
 _NAMES = "abcdefghijklmnopqrstuvwxyz"
@@ -45,7 +46,7 @@ class FreeWord:
     def __init__(self, letters: Iterable[int] = (), rank: int = 2):
         if rank < 1:
             raise ValueError("rank must be >= 1")
-        reduced = reduce_letters(tuple(int(x) for x in letters))
+        reduced = reduce_letters(map(index, letters))
         for x in reduced:
             if x == 0 or abs(x) > rank:
                 raise ValueError(f"letter {x} out of range for rank {rank}")

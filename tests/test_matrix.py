@@ -1,14 +1,17 @@
 import copy
 import pickle
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matdecide.automata import build_membership_automaton
+from matdecide.automata import MatrixLabels, WordLabels, build_membership_automaton
+from matdecide.deciders import Decision, decide_subgroup_membership
 from matdecide.matrix import IntMatrix, _det
-from matdecide.sanov import build_coset_table
+from matdecide.pda import Pda
+from matdecide.sanov import CosetTable, build_coset_table
 from matdecide.words import FreeWord
 
 from conftest import GL2_POOL, I2, naive_mul, perm_det
@@ -84,6 +87,24 @@ def test_rejects_non_square():
         IntMatrix([[1, 2], [3]])
     with pytest.raises(ValueError):
         IntMatrix([])
+
+
+@pytest.mark.parametrize("bad", [2.5, 2.0, "3", Fraction(3, 1)])
+def test_entries_must_be_integers_not_truncated(bad):
+    with pytest.raises(TypeError):
+        IntMatrix([[1, bad], [0, 1]])
+    with pytest.raises(TypeError):
+        # truncating 2.5 to 2 made the generator itself, a false "yes"
+        decide_subgroup_membership(IntMatrix([[1, bad], [0, 1]]), [IntMatrix([[1, 2], [0, 1]])])
+
+
+def test_integer_types_become_plain_ints():
+    class Big(int):
+        pass
+
+    m = IntMatrix([[True, Big(2)], [0, 1]])
+    assert m == IntMatrix([[1, 2], [0, 1]])
+    assert all(type(x) is int for row in m.entries for x in row)
 
 
 @given(matrices_2x2, matrices_2x2, matrices_2x2)
@@ -202,13 +223,21 @@ def test_computed_matrices_match_validated_ones(n):
         assert m.det() == perm_det(m)
 
 
-@pytest.mark.parametrize("kind", ["matrix", "word", "automaton", "coset_table"])
+_PDA = Pda(n_states=2, hops=((0, "a", 1, 1), (1, None, -1, 0)), initial=0,
+           accepting=frozenset({1}))
+
+
+@pytest.mark.parametrize("kind", ["matrix", "word", "automaton", "coset_table",
+                                  "label_domain", "decision", "pda"])
 def test_values_survive_pickle_and_copy(kind):
     value = {
         "matrix": lambda: IntMatrix([[3, 1], [5, 2]]),
         "word": lambda: FreeWord([1, -2, 1], 2),
         "automaton": lambda: build_membership_automaton(I2, [IntMatrix([[1, 2], [0, 1]])]),
         "coset_table": build_coset_table,
+        "label_domain": lambda: WordLabels(rank=3),
+        "decision": lambda: Decision(True, "witness a b"),
+        "pda": lambda: _PDA,
     }[kind]()
     for clone in (lambda v: pickle.loads(pickle.dumps(v)), copy.copy, copy.deepcopy):
         other = clone(value)
@@ -216,10 +245,55 @@ def test_values_survive_pickle_and_copy(kind):
         if type(value).__hash__ is not None:
             assert hash(other) == hash(value)
         if kind == "coset_table":
-            # derived in __post_init__, so rebuilt rather than shared
+            # derived in the constructor, so rebuilt rather than shared
             assert other.residues is not value.residues
             assert dict(other.residues) == dict(value.residues)
             assert other.rep_invs == value.rep_invs
+
+
+# The reprs read as they did when these were frozen dataclasses.
+@pytest.mark.parametrize("value, text", [
+    (MatrixLabels(dim=2), "MatrixLabels(dim=2)"),
+    (WordLabels(2), "WordLabels(rank=2)"),
+    (Decision(answer=True, reason="not found"), "Decision(answer=True, reason='not found')"),
+    (_PDA, "Pda(n_states=2, hops=((0, 'a', 1, 1), (1, None, -1, 0)), initial=0, "
+           "accepting=frozenset({1}))"),
+])
+def test_record_reprs(value, text):
+    assert repr(value) == text
+
+
+def test_record_values_compare_by_class_and_fields():
+    assert MatrixLabels(2) != WordLabels(2)
+    assert MatrixLabels(2) == MatrixLabels(dim=2) != MatrixLabels(3)
+    assert Decision(True, "r") == Decision(answer=True, reason="r") != Decision(False, "r")
+    assert hash(Decision(True, "r")) == hash(Decision(answer=True, reason="r"))
+    assert hash(MatrixLabels(2)) == hash(MatrixLabels(dim=2))
+    assert len({MatrixLabels(2), WordLabels(2), MatrixLabels(2)}) == 2
+    assert Pda(2, ((0, "a", 1, 1), (1, None, -1, 0)), 0, frozenset({1})) == _PDA
+    # reps is the one field: the derived rep_invs and residues stay out of
+    # equality, hash and repr
+    table = build_coset_table()
+    assert table == CosetTable(table.reps) and hash(table) == hash(CosetTable(table.reps))
+    assert repr(table) == f"CosetTable(reps={table.reps!r})"
+    assert repr(table).startswith("CosetTable(reps=(IntMatrix([[1, 0], [0, 1]]), ")
+    with pytest.raises(TypeError):
+        MatrixLabels()
+    with pytest.raises(TypeError):
+        Decision(True, "r", "extra")
+
+
+@pytest.mark.parametrize("value, field", [
+    (MatrixLabels(2), "dim"), (WordLabels(2), "rank"), (Decision(True, "r"), "answer"),
+    (_PDA, "hops"), (build_coset_table(), "residues"),
+])
+def test_record_values_refuse_assignment(value, field):
+    with pytest.raises(AttributeError):
+        setattr(value, field, None)
+    with pytest.raises(AttributeError):
+        delattr(value, field)
+    with pytest.raises(AttributeError):
+        value.other = 1
 
 
 # The 2x2 closed forms against the general n x n code. Entries mix 0, +-1,

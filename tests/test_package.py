@@ -1,8 +1,12 @@
-"""The package's export list, and the names the benchmark reads."""
+"""The package's export list, what importing it loads, and the names the
+benchmark reads."""
 
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import matdecide
@@ -19,6 +23,20 @@ def test_star_import_gives_exactly_the_export_list():
     exec("from matdecide import *", namespace)
     namespace.pop("__builtins__")
     assert sorted(namespace) == sorted(matdecide.__all__)
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # every CLI call pays its imports, and these two bring ast, dis and
+    # tokenize with them, which no query uses
+    code = ("import sys, matdecide.cli\n"
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"

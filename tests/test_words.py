@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -50,6 +52,13 @@ def test_letter_validation():
         FreeWord([0], 2)
     with pytest.raises(ValueError):
         FreeWord([], 0)
+
+
+@pytest.mark.parametrize("bad", [1.7, 1.0, "1", Fraction(1, 1)])
+def test_letters_must_be_integers_not_truncated(bad):
+    with pytest.raises(TypeError):
+        FreeWord([bad, 2], 2)
+    assert FreeWord([True, 2], 2).letters == (1, 2)
 
 
 def test_rank_mismatch():
