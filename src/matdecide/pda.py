@@ -16,6 +16,7 @@ a'a, which reduce to the identity without ever having pushed a.)
 from __future__ import annotations
 
 from collections import deque
+from itertools import compress
 from typing import Iterable, Optional, Sequence
 
 from matdecide.automata import ValenceAutomaton, WordLabels, _live_states
@@ -64,19 +65,32 @@ def _closure_rows(
     from p along a path whose letters freely reduce to the empty word. Edges
     are (src, letter, dst).
 
-    Every row starts with its reflexive bit. Each pair enters the FIFO
-    worklist once, when its bit is set; a reflexive pair (p,p) is queued only
-    where an edge into p can wrap around an edge out of p, since popping any
-    other one derives nothing. Every bit set along the way is a pair of R, so
-    the worklist may stop as soon as row `initial` meets the bitset
-    `targets`; the rows are then partial. With no targets, the default, it
-    runs to the full fixpoint.
+    Row p is {p} and row v for every link p -> v: every v with p -0-> v, or
+    with p -x-> p', q' in row p' and q' -(-x)-> v. deps[v] holds the rows
+    linked to v. A link to a v already in row p is skipped, since a chain of
+    links already carries row v there. The bits a row gains wait in
+    `pending`, and the row waits in the FIFO queue once. Processing row v
+    hands them, one bitset operation each, to every row in deps[v] and to
+    the wrap of every edge into v, which may add links. A row that gains bits
+    through a wrap and is not waiting goes to the front, so unary hop chains
+    close depth-first. A delta of over 8 bits is first cut to the states with
+    an edge of the inverse letter.
+
+    Cost: each bit of a row is delivered once, so row v is processed at most
+    n times, each time for |deps[v]| operations and, per edge into v, one per
+    delivered bit and one per candidate successor (a new link, or a bit its
+    row gained earlier in the same wrap). That sums to O(n·(M + m))
+    operations on n-bit rows, where M <= n² counts the links and m the edges.
+
+    Every bit set along the way is a pair of R, so the work may stop as soon
+    as row `initial` meets the bitset `targets`; the rows are then partial.
+    With no targets, the default, it runs to the full fixpoint.
     """
     unit = [1 << p for p in range(n_states)]
-    fwd = unit[:]  # row p: the q with R(p,q)
-    bwd = unit[:]  # column q: the p with R(p,q)
+    fwd = unit[:]
     out: dict[int, list[int]] = {}  # letter y -> row q: the v with q -y-> v
-    work: deque[tuple[int, int]] = deque()
+    pending = [0] * n_states
+    deps: dict[int, list[int]] = {}
     for src, letter, dst in edges:
         if letter:
             row = out.get(letter)
@@ -85,57 +99,54 @@ def _closure_rows(
             succ = row[src]  # a row with one successor shares its unit bitset
             row[src] = succ | unit[dst] if succ else unit[dst]
         elif not fwd[src] & unit[dst]:
-            fwd[src] |= unit[dst]
-            bwd[dst] |= unit[src]
-            work.append((src, dst))
-    # wraps[p]: (u, out[-x]) for every edge u -x-> p whose inverse letter
-    # occurs; R(p,q) then gives R(u,v) for every v in out[-x][q]
-    wraps: list[list[tuple[int, list[int]]]] = [[] for _ in range(n_states)]
-    seeds: set[int] = set()
+            fwd[src] |= unit[dst]  # the rest of row dst comes through deps[dst]
+            pending[src] |= unit[dst]
+            deps.setdefault(dst, []).append(src)
+    # wraps[v]: (u, out[-x], -x) for every edge u -x-> v whose inverse letter
+    # occurs; a bit q of row v links u to every w in out[-x][q]
+    wraps: dict[int, list[tuple[int, list[int], int]]] = {}
     for src, letter, dst in edges:
         row = out.get(-letter)
         if row is not None:
-            wraps[dst].append((src, row))
-            if row[dst]:
-                seeds.add(dst)
-    work.extend((p, p) for p in sorted(seeds))
+            wraps.setdefault(dst, []).append((src, row, -letter))
+            if row[dst]:  # the reflexive bit of dst wraps
+                pending[dst] |= unit[dst]
 
-    popleft, append = work.popleft, work.append
+    masks: dict[int, int] = {}  # letter y -> the states with an edge of y
+    work = deque(compress(range(n_states), pending))
+    popleft, append, appendleft = work.popleft, work.append, work.appendleft
     while work and not fwd[initial] & targets:
-        p, q = popleft()
-        for u, row in wraps[p]:
-            # new = row[q] & ~fwd[u], without complementing a long row
-            new = row[q]
-            new ^= new & fwd[u]
-            if new:
-                fwd[u] |= new
-                bit = unit[u]
-                while new:
-                    v = new.bit_length() - 1
-                    bwd[v] |= bit
-                    append((u, v))
-                    new ^= unit[v]
-        # transitivity on both sides: R(q,r) gives R(p,r), R(o,p) gives R(o,q)
-        new = fwd[q]
-        new ^= new & fwd[p]
-        if new:
-            fwd[p] |= new
-            bit = unit[p]
-            while new:
-                r = new.bit_length() - 1
-                bwd[r] |= bit
-                append((p, r))
-                new ^= unit[r]
-        new = bwd[p]
-        new ^= new & bwd[q]
-        if new:
-            bwd[q] |= new
-            bit = unit[q]
-            while new:
-                o = new.bit_length() - 1
-                fwd[o] |= bit
-                append((o, q))
-                new ^= unit[o]
+        v = popleft()
+        new, pending[v] = pending[v], 0
+        for p in deps.get(v, ()):
+            gain = new ^ (new & fwd[p])  # new & ~fwd[p], without complementing
+            if gain:
+                fwd[p] |= gain
+                if not pending[p]:
+                    append(p)
+                pending[p] |= gain
+        wide = new.bit_count() > 8
+        if wide and not masks:
+            masks = {y: sum(compress(unit, row)) for y, row in out.items()}
+        # reversed, so that the rows linked through the first edge go first
+        for u, row, y in reversed(wraps.get(v, ())):
+            hit = new & masks[y] if wide else new
+            succ = 0
+            while hit:
+                q = hit.bit_length() - 1
+                hit ^= unit[q]
+                succ |= row[q]
+            succ ^= succ & fwd[u]
+            while succ:
+                w = succ.bit_length() - 1
+                succ ^= unit[w]
+                if not fwd[u] & unit[w]:  # else row u gained w through an earlier link
+                    deps.setdefault(w, []).append(u)
+                    gain = fwd[w] ^ (fwd[w] & fwd[u])
+                    fwd[u] |= gain
+                    if not pending[u]:
+                        appendleft(u)
+                    pending[u] |= gain
 
     return fwd
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import deque
 
 import pytest
 
@@ -123,6 +124,99 @@ def random_word_automaton(rng: random.Random, rank: int = 2):
         )
     accepting = [q for q in states if rng.random() < 0.4]
     return ValenceAutomaton(states, ("a", "b"), WordLabels(rank), edges, states[0], accepting)
+
+
+def parity_word_automaton(rng: random.Random, nonempty: bool, rank: int = 2):
+    """Dense word-labeled automaton of 20-30 states and 60-80 edges, labels of
+    up to 4 letters, whose emptiness is known by construction.
+
+    Each state gets a colour in {0, 1}, and every label has the length parity
+    of the XOR of its end colours. Free reduction removes letters in pairs,
+    so every path's reduced label has the parity of its end colours, and a
+    path that reduces to the empty word ends on its first state's colour.
+    The initial state has colour 0. Empty case: every accepting state has
+    colour 1. Nonempty case: a path spelling u u^-1 in pieces of 1-3 letters
+    is planted, and its last state accepts.
+    """
+    from matdecide.automata import Edge, ValenceAutomaton, WordLabels
+
+    n = rng.randint(20, 30)
+    colour = [0] + [rng.randrange(2) for _ in range(n - 1)]
+    colour[rng.randrange(1, n)] = 1  # both colours occur
+    by_colour = [[q for q in range(n) if colour[q] == c] for c in (0, 1)]
+    letters = [x for i in range(1, rank + 1) for x in (i, -i)]
+
+    def reduced(length: int) -> list[int]:
+        word: list[int] = []
+        while len(word) < length:
+            x = rng.choice(letters)
+            if not word or word[-1] != -x:
+                word.append(x)
+        return word
+
+    def edge(src: int, word: list[int], dst: int) -> Edge:
+        return Edge(f"s{src}", rng.choice(["a", "b", None]), FreeWord(word, rank), f"s{dst}")
+
+    edges = []
+    if nonempty:
+        half = reduced(rng.randint(2, 5))
+        spelled = half + [-x for x in reversed(half)]
+        cur = 0
+        while spelled:
+            piece = spelled[: rng.randint(1, 3)]
+            spelled = spelled[len(piece) :]
+            nxt = rng.choice(by_colour[colour[cur] ^ (len(piece) % 2)])
+            edges.append(edge(cur, piece, nxt))
+            cur = nxt
+        accepting = [cur]
+    else:
+        accepting = rng.sample(by_colour[1], min(3, len(by_colour[1])))
+    for _ in range(rng.randint(60, 80) - len(edges)):
+        src, dst = rng.randrange(n), rng.randrange(n)
+        odd = colour[src] ^ colour[dst]
+        edges.append(edge(src, reduced(rng.choice([1, 3] if odd else [0, 2, 4])), dst))
+    rng.shuffle(edges)
+    states = [f"s{q}" for q in range(n)]
+    return ValenceAutomaton(
+        states, ("a", "b"), WordLabels(rank), edges, "s0", [f"s{q}" for q in accepting]
+    )
+
+
+def reference_closure_rows(n_states, edges):
+    """The identity-reachability closure with set rows, applying each rule
+    one pair at a time; edges are (src, letter, dst)."""
+    fwd = [set() for _ in range(n_states)]
+    bwd = [set() for _ in range(n_states)]
+    in_by_dst = [[] for _ in range(n_states)]  # dst -> [(letter, src)]
+    out_by = {}  # (src, letter) -> [dst]
+    work = deque()
+
+    def add(p, q):
+        if q not in fwd[p]:
+            fwd[p].add(q)
+            bwd[q].add(p)
+            work.append((p, q))
+
+    for src, letter, dst in edges:
+        if letter == 0:
+            add(src, dst)
+        else:
+            in_by_dst[dst].append((letter, src))
+            out_by.setdefault((src, letter), []).append(dst)
+    for p in range(n_states):
+        add(p, p)
+
+    while work:
+        p, q = work.popleft()
+        for letter, u in in_by_dst[p]:
+            for v in out_by.get((q, -letter), ()):
+                add(u, v)
+        for r in tuple(fwd[q]):
+            add(p, r)
+        for o in tuple(bwd[p]):
+            add(o, q)
+
+    return fwd
 
 
 def all_strings(alphabet, max_len):

@@ -2,7 +2,6 @@
 set-based reference closure."""
 
 import random
-from collections import deque
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,48 +9,14 @@ from hypothesis import strategies as st
 import matdecide
 from matdecide import pda
 
+from conftest import reference_closure_rows
+
 
 def random_edges(rng: random.Random, n: int, m: int) -> list[tuple[int, int, int]]:
     return [
         (rng.randrange(n), rng.choice([0, 1, -1, 2, -2]), rng.randrange(n))
         for _ in range(m)
     ]
-
-
-def reference_closure_rows(n_states, edges):
-    """The closure with set rows, applying each rule one pair at a time."""
-    fwd = [set() for _ in range(n_states)]
-    bwd = [set() for _ in range(n_states)]
-    in_by_dst = [[] for _ in range(n_states)]  # dst -> [(letter, src)]
-    out_by = {}  # (src, letter) -> [dst]
-    work = deque()
-
-    def add(p, q):
-        if q not in fwd[p]:
-            fwd[p].add(q)
-            bwd[q].add(p)
-            work.append((p, q))
-
-    for src, letter, dst in edges:
-        if letter == 0:
-            add(src, dst)
-        else:
-            in_by_dst[dst].append((letter, src))
-            out_by.setdefault((src, letter), []).append(dst)
-    for p in range(n_states):
-        add(p, p)
-
-    while work:
-        p, q = work.popleft()
-        for letter, u in in_by_dst[p]:
-            for v in out_by.get((q, -letter), ()):
-                add(u, v)
-        for r in tuple(fwd[q]):
-            add(p, r)
-        for o in tuple(bwd[p]):
-            add(o, q)
-
-    return fwd
 
 
 def reference_closure(n_states, edges):
@@ -112,8 +77,9 @@ def test_dyck_matches_reference(n, m, seed):
 
 
 def test_dyck_nonempty_stops_at_the_goal_with_pairs_still_queued(monkeypatch):
-    # 0 -a-> 1 -a'-> 2 meets the goal at the second pop, while the nested
-    # chain 3 -a-> ... -a-> 13 -a'-> ... -a'-> 23 still has pairs to derive.
+    # 0 -a-> 1 -a'-> 2 meets the goal once row 1 is processed, while the
+    # nested chain 3 -a-> ... -a-> 13 -a'-> ... -a'-> 23 still has pairs to
+    # derive.
     edges = [(0, 1, 1), (1, -1, 2)]
     edges += [(q, 1, q + 1) for q in range(3, 13)] + [(q, -1, q + 1) for q in range(13, 23)]
     n = 24
@@ -172,6 +138,55 @@ def test_dyck_matches_reference_on_hop_graphs():
         accepting = [q for q in range(n) if rng.random() < 0.2]
         expected = any(q in ref[initial] for q in accepting)
         assert pda.dyck_nonempty(n, edges, initial, accepting) == expected, edges
+
+
+def test_rows_at_a_goal_stop_hold_only_pairs_of_the_closure():
+    # The goal stop leaves rows partial and shaped by the processing order,
+    # so every bit set by then must still be a pair of the full closure.
+    rng = random.Random(2025)
+    partial = 0
+    for i in range(300):
+        if i % 2:
+            n, edges = hop_graph(rng)
+        else:
+            n = rng.randint(1, 14)
+            edges = random_edges(rng, n, rng.randint(0, 40))
+        ref = reference_closure_rows(n, edges)
+        initial = rng.randrange(n)
+        targets = sum(1 << q for q in range(n) if rng.random() < 0.2)
+        rows = pda._closure_rows(n, edges, initial, targets)
+        for p, row in enumerate(rows):
+            got = {q for q in range(n) if row >> q & 1}
+            assert p in got and got <= ref[p], (edges, initial, targets)
+        assert bool(rows[initial] & targets) == any(targets >> q & 1 for q in ref[initial])
+        partial += any(len(ref[p]) > bin(row).count("1") for p, row in enumerate(rows))
+    assert partial > 20  # the goal did stop the work early, with rows left to grow
+
+
+def test_full_rows_on_long_chains_and_rings():
+    k = 200
+    # the nested chain a^k a'^k: row i holds i, and 2k - i while i <= k
+    nested = [(q, 1, q + 1) for q in range(k)] + [(q, -1, q + 1) for q in range(k, 2 * k)]
+    # a bidirected ring, a one way and a' the other: R is only reflexive
+    ring = [(q, 1, (q + 1) % k) for q in range(k)] + [((q + 1) % k, -1, q) for q in range(k)]
+    # magnitude's shape: a chain b^k into a hub, with rings a^k, a'^k, b^k
+    # and b'^k through the hub
+    hub, n = k, k + 1
+    shaped = [(q, 2, q + 1) for q in range(k)]
+    for letter in (1, -1, 2, -2):
+        cycle = [hub] + list(range(n, n + k - 1)) + [hub]
+        n += k - 1
+        shaped += [(a, letter, b) for a, b in zip(cycle, cycle[1:])]
+    for n_states, edges in ((2 * k + 1, nested), (k, ring), (n, shaped)):
+        rows = pda._closure_rows(n_states, edges)
+        ref = reference_closure_rows(n_states, edges)
+        assert [{q for q in range(n_states) if row >> q & 1} for row in rows] == ref
+    assert pda._closure_rows(2 * k + 1, nested) == [
+        1 << q | 1 << (2 * k - q) if q <= k else 1 << q for q in range(2 * k + 1)
+    ]
+    assert pda._closure_rows(k, ring) == [1 << q for q in range(k)]
+    assert pda._closure_rows(n, shaped)[0] >> hub & 1  # b^k then one b' ring
+    assert pda.dyck_nonempty(n, shaped, 0, [hub])
 
 
 def test_wraps_start_at_reflexive_pairs_and_use_every_in_edge():

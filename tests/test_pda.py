@@ -1,7 +1,9 @@
+import random
 from collections import deque
 
 import pytest
 
+from matdecide import pda
 from matdecide.automata import (
     Edge,
     SimResult,
@@ -21,7 +23,13 @@ from matdecide.pda import (
 from matdecide.sanov import default_coset_table
 from matdecide.words import FreeWord
 
-from conftest import A, A_INV, random_word_automaton
+from conftest import (
+    A,
+    A_INV,
+    parity_word_automaton,
+    random_word_automaton,
+    reference_closure_rows,
+)
 
 
 def word_automaton(edges, states, initial, accepting, alphabet=("a",)):
@@ -219,3 +227,44 @@ def test_engines_agree_on_other_stack_widths(rng, rank):
                 break
     assert nonempty_seen > 20
     assert found > 20
+
+
+def test_engines_agree_on_dense_planted_automata():
+    # 20-30 states and 60-80 edges, the regime where rows fill up: both
+    # engines must give the planted answer, and on a few automata the full
+    # closure rows of the hop graph must match the reference closure
+    rng = random.Random(2510)
+    for i in range(24):
+        nonempty = i % 2 == 0
+        v = parity_word_automaton(rng, nonempty)
+        assert free_automaton_emptiness(v) is not nonempty, v.edges
+        assert pda_emptiness(from_free_automaton(v)) is not nonempty, v.edges
+        if i < 4:
+            _, n, hops, _ = pda._split_hops(v, v.states)
+            rows = pda._closure_rows(n, hops)
+            assert [{q for q in range(n) if row >> q & 1} for row in rows] == (
+                reference_closure_rows(n, hops)
+            )
+
+
+def test_emptiness_calls_the_closure_through_its_positional_seam(monkeypatch):
+    # The pipeline benchmark times the closure by wrapping this module global
+    # and reads the state count and the edges from the first two positional
+    # arguments, so they must stay positional.
+    calls = []
+    real = pda.dyck_nonempty
+
+    def recording(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pda, "dyck_nonempty", recording)
+    v = word_automaton(
+        [Edge("p", "a", w("a b"), "q"), Edge("q", None, w("b' a'"), "r")],
+        ("p", "q", "r"), "p", ("r",),
+    )
+    assert not free_automaton_emptiness(v)
+    [(args, kwargs)] = calls
+    assert kwargs == {}
+    n_states, edges, initial, accepting = args
+    assert (n_states, len(edges), initial, list(accepting)) == (5, 4, 0, [2])
