@@ -13,7 +13,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from matdecide.matrix import IntMatrix, _generator_dim, _Record
 from matdecide.sanov import CosetTable, schreier_rewrite
-from matdecide.words import FreeWord
+from matdecide.words import MAX_RANK, FreeWord
 
 Label = Union[IntMatrix, FreeWord]
 
@@ -29,6 +29,9 @@ class WordLabels(_Record):
     __slots__ = _fields = ("rank",)
 
     def __init__(self, rank: int):
+        if rank > MAX_RANK:
+            raise ValueError(f"word rank must be at most {MAX_RANK}, one per generator name, "
+                             f"got {rank}")
         super().__init__(rank)
 
 
@@ -58,7 +61,7 @@ class ValenceAutomaton:
     ):
         states_t = tuple(dict.fromkeys(states))
         alphabet_t = tuple(dict.fromkeys(alphabet))
-        edges_t = tuple(dict.fromkeys(Edge(*e) for e in edges))
+        edges_t = tuple(dict.fromkeys(e if isinstance(e, Edge) else Edge(*e) for e in edges))
         accepting_t = frozenset(accepting)
         state_set = set(states_t)
         if initial not in state_set:

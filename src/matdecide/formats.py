@@ -2,6 +2,12 @@
 at any magnitude), words in generator-name notation, and automata as a JSON
 document. parse(print(x)) == x for every format.
 
+A word label is read by FreeWord.from_text, once per distinct label text in a
+document, and written back in canonical form: reduced, with ' for inverses
+and single spaces, and ε for the identity. So print(parse(text)) may differ
+from a word-labelled text that spells a label another way or repeats an edge.
+A word rank is at most 26, one per generator name a..z.
+
 An integer in an input document may have at most sys.get_int_max_str_digits()
 digits (4300 by default): Python parses decimal text in quadratic time, and
 the limit keeps outside input from stalling the parser. A longer entry is a
@@ -114,7 +120,10 @@ def _domain_from_obj(obj: Any) -> LabelDomain:
     size = _int_from(obj.get(field), f"label_domain.{field}")
     if size < 1:
         raise FormatError(f"label_domain.{field}: must be at least 1, got {size}")
-    return MatrixLabels(size) if kind == "matrix" else WordLabels(size)
+    try:
+        return MatrixLabels(size) if kind == "matrix" else WordLabels(size)
+    except ValueError as exc:
+        raise FormatError(f"label_domain.{field}: {exc}") from None
 
 
 def automaton_to_obj(v: ValenceAutomaton) -> dict[str, Any]:
@@ -159,6 +168,7 @@ def automaton_from_obj(obj: Any) -> ValenceAutomaton:
     if not isinstance(accepting, list) or not all(isinstance(q, str) for q in accepting):
         raise FormatError("accepting: expected an array of state names")
     edges = []
+    words: dict[str, FreeWord] = {}  # label text -> word, for this document only
     raw_edges = obj["edges"]
     if not isinstance(raw_edges, list):
         raise FormatError("edges: expected an array")
@@ -178,12 +188,15 @@ def automaton_from_obj(obj: Any) -> ValenceAutomaton:
         if isinstance(domain, MatrixLabels):
             label: Any = matrix_from_obj(raw["label"], f"{where}.label")
         else:
-            if not isinstance(raw["label"], str):
+            text = raw["label"]
+            if not isinstance(text, str):
                 raise FormatError(f"{where}.label: expected a word string")
-            try:
-                label = FreeWord.from_text(raw["label"], domain.rank)
-            except ValueError as exc:
-                raise FormatError(f"{where}.label: {exc}") from None
+            label = words.get(text)
+            if label is None:
+                try:
+                    label = words[text] = FreeWord.from_text(text, domain.rank)
+                except ValueError as exc:
+                    raise FormatError(f"{where}.label: {exc}") from None
         edges.append(Edge(raw["src"], symbol, label, raw["dst"]))
     try:
         return ValenceAutomaton(

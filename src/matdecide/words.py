@@ -4,6 +4,11 @@ A word is a sequence of signed generator indices: +i is the i-th generator
 (1-based), -i its inverse. Words are reduced eagerly on construction and kept
 reduced by every operation, so identity testing is a length check and stack
 simulation sees only the reduced content.
+
+The text form names the generators a, b, c, ... in order, so a rank is at
+most 26. A token is a name, or a name with a ' or ^-1 suffix for its
+inverse; tokens are separated by any whitespace, and the text is reduced on
+reading. The identity is written ε, and the empty text reads as it too.
 """
 
 from __future__ import annotations
@@ -12,6 +17,30 @@ from operator import index
 from typing import Iterable, Sequence
 
 _NAMES = "abcdefghijklmnopqrstuvwxyz"
+MAX_RANK = len(_NAMES)
+
+# Per rank, every valid token and its letter; filled on first use of a rank.
+_TOKENS: dict[int, dict[str, int]] = {}
+
+
+def _check_rank(rank: int) -> int:
+    rank = index(rank)
+    if rank < 1:
+        raise ValueError("rank must be >= 1")
+    if rank > MAX_RANK:
+        raise ValueError(f"rank must be at most {MAX_RANK}, one per generator name")
+    return rank
+
+
+def _token_table(rank: int) -> dict[str, int]:
+    table = _TOKENS.get(rank)
+    if table is None:
+        table = {}
+        for i, name in enumerate(_NAMES[:rank], 1):
+            table[name] = i
+            table[name + "'"] = table[name + "^-1"] = -i
+        _TOKENS[rank] = table
+    return table
 
 
 def reduce_letters(letters: Iterable[int]) -> tuple[int, ...]:
@@ -44,8 +73,7 @@ class FreeWord:
     __slots__ = ("rank", "letters", "_hash")
 
     def __init__(self, letters: Iterable[int] = (), rank: int = 2):
-        if rank < 1:
-            raise ValueError("rank must be >= 1")
+        rank = _check_rank(rank)
         reduced = reduce_letters(map(index, letters))
         for x in reduced:
             if x == 0 or abs(x) > rank:
@@ -115,24 +143,21 @@ class FreeWord:
 
     @classmethod
     def from_text(cls, text: str, rank: int = 2) -> "FreeWord":
-        """Parse the to_text form; accepts ' or ^-1 inverse suffixes and ε."""
-        stripped = text.strip()
-        if stripped in ("", "ε"):
-            return cls((), rank)
-        letters = []
-        for token in stripped.split():
-            inverse = False
-            if token.endswith("^-1"):
-                inverse = True
-                token = token[:-3]
-            elif token.endswith("'"):
-                inverse = True
-                token = token[:-1]
-            if len(token) != 1 or token not in _NAMES:
-                raise ValueError(f"bad generator token {token!r}")
-            idx = _NAMES.index(token) + 1
-            if idx > rank:
-                raise ValueError(f"generator {token!r} out of range for rank {rank}")
-            letters.append(-idx if inverse else idx)
-        return cls(letters, rank)
+        """Parse the text form of the module docstring, to_text's among them.
 
+        Tokens are looked up in the rank's token table; the first token that
+        is not there is named in the ValueError, without its suffix.
+        """
+        rank = _check_rank(rank)
+        tokens = text.split()
+        if tokens == ["ε"]:
+            tokens = []
+        try:
+            letters = reduce_letters(map(_token_table(rank).__getitem__, tokens))
+        except KeyError as exc:
+            token = exc.args[0]
+            name = token[:-3] if token.endswith("^-1") else token.removesuffix("'")
+            if len(name) == 1 and name in _NAMES:
+                raise ValueError(f"generator {name!r} out of range for rank {rank}") from None
+            raise ValueError(f"bad generator token {name!r}") from None
+        return cls.__new__(cls)._set(letters, rank)

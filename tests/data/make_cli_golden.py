@@ -123,6 +123,21 @@ def flooded_text(dim):
                                  for src, symbol, m, dst in edges]})
 
 
+def spelled_words_text(accepting):
+    """s0 -a-> s1 -b-> s2 -a-> s3 reads a^-1, a b and b', whose product is
+    the identity. The labels use a ^-1 suffix, the empty text, a pair that
+    cancels, a tab between tokens, and one edge twice: the last edge repeats
+    the first once its label "a^-1  b b'" is read."""
+    edges = [("s0", "a", "a^-1", "s1"), ("s1", None, "", "s1"), ("s1", "b", "a\tb", "s2"),
+             ("s2", "a", "b'", "s3"), ("s0", None, "a a'", "s2"), ("s1", "b", "a\tb", "s2"),
+             ("s0", "a", "a^-1  b b'", "s1")]
+    return json.dumps({"states": ["s0", "s1", "s2", "s3"], "alphabet": ["a", "b"],
+                       "label_domain": {"kind": "word", "rank": 2}, "initial": "s0",
+                       "accepting": accepting,
+                       "edges": [{"src": src, "input": symbol, "label": label, "dst": dst}
+                                 for src, symbol, label, dst in edges]})
+
+
 def calls(rng):
     """Yield (argv, inputs) pairs."""
     fmt = lambda: ["--format", "structured"] if rng.random() < 0.5 else []  # noqa: E731
@@ -254,6 +269,14 @@ def calls(rng):
     # in 2x2 and in 3x3; the witness search drops them in both.
     for dim in (2, 3):
         yield ["empty", "a.json"], {"a.json": flooded_text(dim)}
+
+    # empty and convert on word labels in every spelling the reader accepts;
+    # these calls draw nothing from rng, so the records above stay as they were
+    for accepting in (["s3"], ["s1"]):
+        doc = {"a.json": spelled_words_text(accepting)}
+        yield ["empty", "a.json"], doc
+        yield ["empty", "a.json", "--checked", "--format", "structured"], doc
+    yield ["convert", "a.json"], {"a.json": spelled_words_text(["s3"])}
 
 
 def run(argv, inputs, workdir: Path):

@@ -838,30 +838,69 @@ def test_deeply_nested_json_is_malformed_input(capsys, files, argv):
     assert err.count("\n") == 1 and "nested too deeply" in err
 
 
-def test_empty_checked_sizes_its_tables_by_the_letters_used(tmp_path):
-    """The word rank a document declares costs nothing: the pushdown engine's
-    tables follow the letters on the edges. Run in a child process under an
-    address-space limit, so that tables sized by the rank fail there with
-    MemoryError instead of taking the memory of the host."""
-    resource = pytest.importorskip("resource")
-    doc = {"states": ["p", "q"], "alphabet": ["x"],
-           "label_domain": {"kind": "word", "rank": "100000000"},
-           "initial": "p", "accepting": ["q"],
-           "edges": [{"src": "p", "input": "x", "label": "a a'", "dst": "q"}]}
-    path = tmp_path / "aut.json"
-    path.write_text(json.dumps(doc))
+def _word_doc(labels, rank=2):
+    """A word-labelled document whose i-th edge runs p -> q with labels[i]."""
+    return {"states": ["p", "q"], "alphabet": ["x"],
+            "label_domain": {"kind": "word", "rank": rank},
+            "initial": "p", "accepting": ["q"],
+            "edges": [{"src": "p", "input": "x", "label": label, "dst": "q"}
+                      for label in labels]}
 
-    def limit():
-        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
-    src = os.path.dirname(os.path.dirname(matdecide.__file__))
-    proc = subprocess.run(
-        [sys.executable, "-m", "matdecide.cli", "empty", "--checked", str(path)],
-        env={**os.environ, "PYTHONPATH": src}, preexec_fn=limit,
-        capture_output=True, text=True, timeout=60,
-    )
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "NONEMPTY: witness 'x'\n", "")
+@pytest.mark.parametrize("rank", [27, "100000000"], ids=["rank-27", "rank-huge"])
+def test_word_ranks_over_26_exit_65(capsys, files, rank):
+    # only a..z name generators; a larger rank is refused before any table
+    # of the pushdown engine is built
+    path = files("aut.json", json.dumps(_word_doc(["a a'"], rank)))
+    code, out, err = run(capsys, "empty", "--checked", path)
+    assert (code, out) == (65, "")
+    assert err.count("\n") == 1 and "label_domain.rank: word rank must be at most 26" in err
 
+
+@pytest.mark.parametrize(
+    "labels, rank, message",
+    [
+        (["zz"], 2, "edges[0].label: bad generator token 'zz'"),
+        (["a c"], 2, "edges[0].label: generator 'c' out of range for rank 2"),
+        (["a b'", "zz", "a b'", "zz"], 2, "edges[1].label: bad generator token 'zz'"),
+        (["b", "c", "b", "c"], 2, "edges[1].label: generator 'c' out of range for rank 2"),
+    ],
+    ids=["bad-token", "out-of-range", "bad-token-repeated", "out-of-range-repeated"],
+)
+def test_bad_word_labels_exit_65(capsys, files, labels, rank, message):
+    path = files("aut.json", json.dumps(_word_doc(labels, rank)))
+    code, out, err = run(capsys, "empty", path)
+    assert (code, out) == (65, "")
+    assert err.count("\n") == 1 and message in err
+
+
+def test_a_label_text_is_read_afresh_in_every_document(capsys, files):
+    # "c" names a generator at rank 3 only, and "zz" never does; each call
+    # must judge a text by its own document and name its own edge
+    calls = [(_word_doc(["c c'"], 3), 0, ""), (_word_doc(["c c'"], 2), 65, "edges[0].label"),
+             (_word_doc(["a", "b", "zz"], 2), 65, "edges[2].label: bad generator token 'zz'"),
+             (_word_doc(["zz", "a"], 2), 65, "edges[0].label: bad generator token 'zz'"),
+             (_word_doc(["a", "c c'", "a"], 3), 0, "")]
+    for doc, expected, message in calls:
+        code, _, err = run(capsys, "empty", files("aut.json", json.dumps(doc)))
+        assert code == expected and message in err
+
+
+def test_repeated_label_texts_parse_like_labels_read_one_at_a_time():
+    texts = ["a b'", "", "a b'", "ε", "b\ta^-1", "a b'", "b a'", "a a'", "", "b\ta^-1"]
+    doc = _word_doc(texts)
+    doc["states"] += ["r"]
+    for i, edge in enumerate(doc["edges"]):
+        edge["dst"] = ["p", "q", "r"][i % 3]
+    parsed = parse_automaton(json.dumps(doc))
+    edges = [Edge("p", "x", FreeWord.from_text(t, 2), ["p", "q", "r"][i % 3])
+             for i, t in enumerate(texts)]
+    one_at_a_time = ValenceAutomaton(["p", "q", "r"], ["x"], WordLabels(2), edges, "p", ["q"])
+    assert parsed == one_at_a_time
+    # edges 5, 7 and 9 repeat edges 2, 1 and 6 once read, and are dropped
+    assert [(e.label.to_text(), e.dst) for e in parsed.edges] == [
+        ("a b'", "p"), ("ε", "q"), ("a b'", "r"), ("ε", "p"), ("b a'", "q"), ("b a'", "p"),
+        ("ε", "r")]
 
 
 def _cli_child(*argv, **kwargs):

@@ -113,6 +113,17 @@ def test_automaton_field_errors():
                          [Edge("p", "a", FreeWord.from_text("a", 3), "p")], "p", ())
 
 
+def test_word_rank_is_at_most_the_number_of_generator_names():
+    doc = ('{"states": ["p"], "alphabet": ["a"], "label_domain": {"kind": "word", "rank": %s},'
+           ' "initial": "p", "accepting": [], '
+           '"edges": [{"src": "p", "input": "a", "label": "z^-1 y", "dst": "p"}]}')
+    assert parse_automaton(doc % 26).edges[0].label == FreeWord([-26, 25], 26)
+    with pytest.raises(FormatError, match=r"^label_domain.rank: word rank must be at most 26"):
+        parse_automaton(doc % 27)
+    with pytest.raises(ValueError, match="word rank must be at most 26"):
+        WordLabels(27)
+
+
 def test_automaton_label_dimension_checked():
     with pytest.raises(FormatError):
         parse_automaton(

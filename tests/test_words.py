@@ -1,10 +1,11 @@
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from matdecide.words import FreeWord, concat_reduce_letters, reduce_letters
+from matdecide.words import MAX_RANK, FreeWord, concat_reduce_letters, reduce_letters
 
 letters = st.lists(st.sampled_from([1, -1, 2, -2]), max_size=20)
 words = st.builds(lambda ls: FreeWord(ls, 2), letters)
@@ -61,6 +62,14 @@ def test_letters_must_be_integers_not_truncated(bad):
     assert FreeWord([True, 2], 2).letters == (1, 2)
 
 
+@pytest.mark.parametrize("rank", [2.0, 2.5, "2"])
+def test_ranks_must_be_integers(rank):
+    with pytest.raises(TypeError):
+        FreeWord([1], rank)
+    with pytest.raises(TypeError):
+        FreeWord.from_text("a", rank)
+
+
 def test_rank_mismatch():
     with pytest.raises(ValueError):
         FreeWord([1], 2) * FreeWord([1], 3)
@@ -75,6 +84,73 @@ def test_text_roundtrip():
         FreeWord.from_text("q", 2)
     with pytest.raises(ValueError):
         FreeWord.from_text("c", 2)
+
+
+def test_ranks_stop_at_the_last_generator_name():
+    assert MAX_RANK == 26
+    z = FreeWord([26, -26, -26], 26)
+    assert repr(z) == "FreeWord(\"z'\", rank=26)"
+    assert FreeWord.from_text("z^-1", 26) == z
+    for make in (lambda: FreeWord([27], 27), lambda: FreeWord([], 27),
+                 lambda: FreeWord.from_text("a", 27), lambda: FreeWord.from_text("ε", 27)):
+        with pytest.raises(ValueError, match="rank must be at most 26"):
+            make()
+
+
+def reference_parse(text: str, rank: int) -> tuple[int, ...]:
+    """The text form, read without matdecide: split on spaces, tabs and
+    newlines, take one ' or ^-1 suffix off each token, look the name up by
+    its character code, and reduce with a stack."""
+    stripped = text.strip(" \t\n")
+    tokens = re.split(r"[ \t\n]+", stripped) if stripped else []
+    if tokens == ["ε"]:
+        return ()
+    stack: list[int] = []
+    for token in tokens:
+        name, suffix = re.fullmatch(r"(.*?)(\^-1|')?", token, re.S).groups()
+        if len(name) != 1 or not "a" <= name <= "z":
+            raise ValueError(f"bad generator token {name!r}")
+        letter = ord(name) - ord("a") + 1
+        if letter > rank:
+            raise ValueError(f"generator {name!r} out of range for rank {rank}")
+        letter = -letter if suffix else letter
+        if stack and stack[-1] == -letter:
+            stack.pop()
+        else:
+            stack.append(letter)
+    return tuple(stack)
+
+
+good_tokens = st.builds(str.__add__, st.sampled_from("abc"), st.sampled_from(["", "'", "^-1"]))
+bad_tokens = st.sampled_from(["zz", "a'^-1", "A", "ε", "d", "a''", "^-1", "'", "b^-1'"])
+separators = st.text(" \t\n", min_size=1, max_size=3)
+
+
+@st.composite
+def word_texts(draw):
+    if draw(st.integers(0, 9)) == 0:  # the identity as format_automaton writes it
+        tokens = ["ε"]
+    else:
+        tokens = draw(st.lists(st.one_of(good_tokens, bad_tokens) if draw(st.booleans())
+                               else good_tokens, max_size=8))
+    text = draw(st.text(" \t\n", max_size=2))
+    for token in tokens:
+        text += token + draw(separators)
+    return text[:-1] if tokens and draw(st.booleans()) else text
+
+
+@given(word_texts(), st.integers(1, 3))
+def test_from_text_agrees_with_a_reference_tokenizer(text, rank):
+    try:
+        expected = reference_parse(text, rank)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            FreeWord.from_text(text, rank)
+        assert str(raised.value) == str(exc)
+    else:
+        word = FreeWord.from_text(text, rank)
+        assert word == FreeWord(expected, rank) and word.letters == expected
+        assert hash(word) == hash(FreeWord(expected, rank))
 
 
 def _is_reduced(word: FreeWord) -> bool:
